@@ -1,0 +1,21 @@
+//! Records the compiler version and build profile for the host line.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    let profile = format!(
+        "{} (opt-level {})",
+        std::env::var("PROFILE").unwrap_or_default(),
+        std::env::var("OPT_LEVEL").unwrap_or_default()
+    );
+    println!("cargo:rustc-env=TXBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=TXBENCH_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
