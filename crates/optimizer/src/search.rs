@@ -656,14 +656,26 @@ pub struct OptimizerStats {
     pub plan_cache_hits: u64,
     /// Summed search work counters.
     pub totals: SearchStats,
+    /// Column-statistics harvests counted from scratch (a relation's
+    /// first sight, or a scheme/kind change).
+    pub stats_full_harvests: u64,
+    /// Harvests moved to a newer version by merging the two states.
+    pub stats_advances: u64,
+    /// Value tuples those merges added to or removed from the counts.
+    pub stats_tuples_merged: u64,
 }
 
 impl fmt::Display for OptimizerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "optim: level {}, {} search(es) / {} plan-cache hit(s)",
-            self.level, self.searches, self.plan_cache_hits,
+            "optim: level {}, {} search(es) / {} plan-cache hit(s), stats {} full harvest(s) / {} advance(s) / {} tuple(s) merged",
+            self.level,
+            self.searches,
+            self.plan_cache_hits,
+            self.stats_full_harvests,
+            self.stats_advances,
+            self.stats_tuples_merged,
         )?;
         writeln!(
             f,
@@ -852,9 +864,19 @@ mod tests {
                 groups_memoized: 7,
                 rewrites_fired: 5,
             },
+            stats_full_harvests: 2,
+            stats_advances: 6,
+            stats_tuples_merged: 9,
         };
         let text = s.to_string();
         assert!(text.starts_with("optim: level 2, 3 search(es)"), "{text}");
+        assert!(
+            text.lines()
+                .next()
+                .unwrap()
+                .ends_with("stats 2 full harvest(s) / 6 advance(s) / 9 tuple(s) merged"),
+            "{text}"
+        );
         assert!(text.contains("10 plan(s) enumerated"), "{text}");
     }
 }

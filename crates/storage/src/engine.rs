@@ -25,6 +25,7 @@ use txtime_optimizer::{
 
 use crate::backend::{BackendKind, CheckpointPolicy, RollbackStore};
 use crate::cache::MaterializationCache;
+use crate::harvest::Harvest;
 use crate::memo::{MemoDecision, RelStamp, StampSource, ViewRegistry};
 use crate::metrics::{
     CacheStats, CompactionStats, InternerStats, RelationSpace, ShardReport, SpaceReport,
@@ -85,9 +86,9 @@ struct StoredRelation {
     rel_span: u64,
 }
 
-/// What the planner tracks incrementally per relation — enough to build
-/// the cost-based searcher's schema catalog and cardinality model in
-/// O(catalog) at plan time, without materializing any history.
+/// What `apply` tracks per relation for the planner — its schema,
+/// whether that ever changed, and its cardinality. Column statistics
+/// are harvested lazily, at plan time (see [`Planner::harvests`]).
 #[derive(Default)]
 struct RelMeta {
     /// The current version's schema, once one exists.
@@ -120,9 +121,16 @@ struct Planner {
     model: CostModel,
     interner: ExprInterner,
     plans: HashMap<ExprId, Expr>,
+    /// Per stable relation: the version stamp its column statistics
+    /// were last harvested at, and the harvest. A moved relation is
+    /// merged forward; an unmoved one costs nothing.
+    harvests: HashMap<String, (RelStamp, Harvest)>,
     searches: u64,
     cache_hits: u64,
     totals: SearchStats,
+    full_harvests: u64,
+    advances: u64,
+    tuples_merged: u64,
 }
 
 impl Planner {
@@ -133,9 +141,13 @@ impl Planner {
             model: CostModel::new(),
             interner: ExprInterner::new(),
             plans: HashMap::new(),
+            harvests: HashMap::new(),
             searches: 0,
             cache_hits: 0,
             totals: SearchStats::default(),
+            full_harvests: 0,
+            advances: 0,
+            tuples_merged: 0,
         }
     }
 }
@@ -176,7 +188,8 @@ pub struct Engine {
     /// written, 1 = error-preserving pushdown (the historical default),
     /// 2 = cost-based plan search over the `ExprId` DAG.
     optimize: u8,
-    /// Incremental planner statistics, maintained O(1) per mutation.
+    /// Per-relation schema and cardinality for the planner, maintained
+    /// O(1) per mutation.
     planner_meta: BTreeMap<String, RelMeta>,
     /// The level-2 plan cache (interior mutability: `eval` is `&self`).
     planner: Mutex<Planner>,
@@ -472,6 +485,13 @@ impl Engine {
     /// Rebuilds the planner's inputs when the clock has moved since they
     /// were last snapshotted (any mutation bumps the clock, so a stale
     /// catalog or model is impossible to observe).
+    ///
+    /// Column statistics come from [`Planner::harvests`], kept exact
+    /// incrementally: a relation whose version stamp has not moved is
+    /// skipped, a moved one is merged from its harvested state to its
+    /// current state, and only a first sight (or a scheme/kind change)
+    /// counts from scratch. The resulting ranges, distinct counts and
+    /// MCVs equal a from-scratch harvest, so plans do not change.
     fn refresh_planner(&self, planner: &mut Planner) {
         if planner.at_tx == Some(self.tx) {
             return;
@@ -479,6 +499,12 @@ impl Engine {
         planner.at_tx = Some(self.tx);
         planner.plans.clear();
         planner.interner = ExprInterner::new();
+        // Deleted and scheme-evolved relations never enter the catalog.
+        planner.harvests.retain(|name, _| {
+            self.planner_meta
+                .get(name)
+                .is_some_and(|m| m.stable && m.schema.is_some())
+        });
         let mut catalog = SchemaCatalog::new();
         let mut model = CostModel::new();
         for (name, meta) in &self.planner_meta {
@@ -487,26 +513,66 @@ impl Engine {
                 continue;
             };
             catalog.insert(name.clone(), schema.clone());
-            // Current-version value ranges feed range selectivity. One
-            // state clone per stable relation per generation — only on
-            // the level-2 path, only when a query actually arrives.
-            if let Some(state) = self.current_state(name) {
-                let (_, ranges, columns) = state_stats(&state);
-                if let Some(ranges) = ranges {
-                    for (attr, range) in schema.attributes().iter().zip(ranges) {
-                        model.note_attr_range(attr.name.to_string(), range);
-                    }
+            let Some(stats) = self.harvest_current(planner, name) else {
+                continue;
+            };
+            // Current-version value ranges feed range selectivity.
+            if let Some(ranges) = stats.ranges {
+                for (attr, range) in schema.attributes().iter().zip(ranges) {
+                    model.note_attr_range(attr.name.to_string(), range);
                 }
-                if let Some(columns) = columns {
-                    for (attr, col) in schema.attributes().iter().zip(columns) {
-                        model.note_attr_distinct(attr.name.to_string(), col.distinct as f64);
-                        model.note_attr_mcvs(attr.name.to_string(), col.mcvs);
-                    }
+            }
+            if let Some(columns) = stats.columns {
+                for (attr, col) in schema.attributes().iter().zip(columns) {
+                    model.note_attr_distinct(attr.name.to_string(), col.distinct as f64);
+                    model.note_attr_mcvs(attr.name.to_string(), col.mcvs);
                 }
             }
         }
         planner.catalog = catalog;
         planner.model = model;
+    }
+
+    /// Brings `ident`'s harvest up to its current version and returns
+    /// its statistics (`None` when the relation has no version).
+    fn harvest_current(
+        &self,
+        planner: &mut Planner,
+        ident: &str,
+    ) -> Option<txtime_analyze::VersionStats> {
+        let stamp = self.relation_stamp(ident)?;
+        match planner.harvests.get_mut(ident) {
+            Some((at, _)) if *at == stamp => {}
+            Some((at, harvest)) => {
+                *at = stamp;
+                match harvest.advance(self.current_state(ident)?) {
+                    Some(merged) => {
+                        planner.advances += 1;
+                        planner.tuples_merged += merged as u64;
+                    }
+                    None => planner.full_harvests += 1,
+                }
+            }
+            None => {
+                let harvest = Harvest::count(self.current_state(ident)?);
+                planner.full_harvests += 1;
+                planner.harvests.insert(ident.to_string(), (stamp, harvest));
+            }
+        }
+        planner.harvests.get(ident).map(|(_, h)| h.stats(stamp.1))
+    }
+
+    /// The column statistics the level-2 planner holds for `ident`,
+    /// brought up to date exactly as a plan request would: cardinality,
+    /// per-attribute value ranges, distinct counts and MCVs of the
+    /// current version. `None` unless `ident` is a defined relation
+    /// with a version whose scheme never changed — the relations the
+    /// planner's catalog admits.
+    pub fn planner_stats(&self, ident: &str) -> Option<txtime_analyze::VersionStats> {
+        let mut planner = self.planner.lock().unwrap_or_else(|e| e.into_inner());
+        self.refresh_planner(&mut planner);
+        let (stamp, harvest) = planner.harvests.get(ident)?;
+        Some(harvest.stats(stamp.1))
     }
 
     /// Records the schema and cardinality of `ident`'s newest version in
@@ -553,6 +619,9 @@ impl Engine {
             searches: planner.searches,
             plan_cache_hits: planner.cache_hits,
             totals: planner.totals,
+            stats_full_harvests: planner.full_harvests,
+            stats_advances: planner.advances,
+            stats_tuples_merged: planner.tuples_merged,
         }
     }
 
@@ -876,7 +945,8 @@ impl Engine {
     /// [`CostModel::from_stats`](txtime_optimizer::CostModel::from_stats)
     /// seed their estimates from. Historical versions are materialized
     /// through the store's batched `state_at_many` — one replay sweep
-    /// per relation, not one per version.
+    /// per relation, not one per version — and counted by the planner's
+    /// harvest: one full count, then one merge per later version.
     pub fn stats_catalog(&self) -> txtime_analyze::StatsCatalog {
         let mut stats = txtime_analyze::StatsCatalog::new();
         for (name, rel) in &self.catalog {
@@ -884,28 +954,23 @@ impl Engine {
             match &rel.keeper {
                 Keeper::History(store) => {
                     let txs = store.version_txs();
+                    let mut harvest: Option<Harvest> = None;
                     for (tx, state) in txs.iter().zip(store.state_at_many(&txs)) {
-                        if let Some(state) = state {
-                            let (card, ranges, columns) = state_stats(&state);
-                            rs.versions.push(txtime_analyze::VersionStats {
-                                tx: *tx,
-                                card,
-                                ranges,
-                                columns,
-                            });
+                        let Some(state) = state else { continue };
+                        match &mut harvest {
+                            Some(h) => {
+                                h.advance(state);
+                            }
+                            None => harvest = Some(Harvest::count(state)),
                         }
+                        rs.versions
+                            .push(harvest.as_ref().expect("just harvested").stats(*tx));
                     }
                     rs.interner_strings = store.interner_stats().map(|s| s.strings);
                     rs.space_bytes = Some(store.space_bytes());
                 }
                 Keeper::Single(Some((state, tx))) => {
-                    let (card, ranges, columns) = state_stats(state);
-                    rs.versions.push(txtime_analyze::VersionStats {
-                        tx: *tx,
-                        card,
-                        ranges,
-                        columns,
-                    });
+                    rs.versions.push(Harvest::count(state.clone()).stats(*tx));
                 }
                 Keeper::Single(None) => {}
             }
@@ -1286,37 +1351,6 @@ impl StateSource for Engine {
     }
 }
 
-/// The exact statistics of one materialized version: its cardinality and
-/// (for non-empty states) each attribute's value range.
-fn state_stats(
-    state: &StateValue,
-) -> (
-    txtime_analyze::CardInterval,
-    Option<Vec<txtime_analyze::ValueRange>>,
-    Option<Vec<txtime_analyze::ColumnStats>>,
-) {
-    use txtime_analyze::{CardInterval, ColumnStats, ValueRange};
-    let (len, arity, tuples): (usize, usize, Vec<&txtime_snapshot::Tuple>) = match state {
-        StateValue::Snapshot(s) => (s.len(), s.schema().arity(), s.iter().collect()),
-        StateValue::Historical(h) => (
-            h.len(),
-            h.schema().arity(),
-            h.iter().map(|(t, _)| t).collect(),
-        ),
-    };
-    let ranges = (!tuples.is_empty()).then(|| {
-        (0..arity)
-            .map(|i| ValueRange::spanning(tuples.iter().map(|t| t.get(i))))
-            .collect()
-    });
-    let columns = (!tuples.is_empty()).then(|| {
-        (0..arity)
-            .map(|i| ColumnStats::from_values(tuples.iter().map(|t| t.get(i)), len))
-            .collect()
-    });
-    (CardInterval::exact(len as u64), ranges, columns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1381,6 +1415,47 @@ mod tests {
             assert!(!ranges[0].contains(&Value::Int(1)), "{backend}");
             assert!(rs.space_bytes.is_some(), "{backend}");
         }
+    }
+
+    #[test]
+    fn planner_harvests_only_the_relation_that_moved() {
+        let run = |level: u8| {
+            let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
+            e.set_optimize(level);
+            for name in ["r", "s"] {
+                e.execute(&Command::define_relation(name, RelationType::Rollback))
+                    .unwrap();
+                e.execute(&Command::modify_state(
+                    name,
+                    Expr::snapshot_const(snap(&[1, 2, 3])),
+                ))
+                .unwrap();
+            }
+            e.eval(&Expr::current("r")).unwrap();
+            let first = e.optimizer_stats();
+            // One tuple of `r` leaves and one arrives; `s` is untouched.
+            e.execute(&Command::modify_state(
+                "r",
+                Expr::snapshot_const(snap(&[1, 2, 4])),
+            ))
+            .unwrap();
+            e.eval(&Expr::current("s")).unwrap();
+            e.eval(&Expr::current("s")).unwrap();
+            (first, e.optimizer_stats())
+        };
+        let work = |s: &OptimizerStats| {
+            (
+                s.stats_full_harvests,
+                s.stats_advances,
+                s.stats_tuples_merged,
+            )
+        };
+        let (first, after) = run(2);
+        assert_eq!(work(&first), (2, 0, 0), "{first:?}");
+        assert_eq!(work(&after), (2, 1, 2), "{after:?}");
+        let (first, after) = run(1);
+        assert_eq!(work(&first), (0, 0, 0), "{first:?}");
+        assert_eq!(work(&after), (0, 0, 0), "{after:?}");
     }
 
     #[test]

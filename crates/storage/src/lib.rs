@@ -42,6 +42,7 @@ pub mod engine;
 pub mod equiv;
 pub mod forward_delta;
 pub mod full_copy;
+mod harvest;
 pub mod memo;
 pub mod metrics;
 pub mod recovery;
