@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use txtime_core::{Expr, JoinSpec, TxSpec};
+use txtime_core::{Expr, JoinSpec, Operator, TxSpec};
 use txtime_historical::{TemporalExpr, TemporalPred};
 use txtime_snapshot::Predicate;
 
@@ -82,6 +82,29 @@ pub enum NodeOp {
     Join(JoinSpec),
     /// `hjoin[spec](E₁, E₂)` — the hatted physical equi-join
     HJoin(JoinSpec),
+}
+
+impl NodeOp {
+    /// The node's algebra operator, for applying it through the shared
+    /// operator table; `None` for the leaves (constants and ρ/ρ̂).
+    pub fn operator(&self) -> Option<Operator<'_>> {
+        Some(match self {
+            NodeOp::Const(_) | NodeOp::Rollback(..) | NodeOp::HRollback(..) => return None,
+            NodeOp::Union => Operator::Union,
+            NodeOp::Difference => Operator::Difference,
+            NodeOp::Product => Operator::Product,
+            NodeOp::Project(attrs) => Operator::Project(attrs),
+            NodeOp::Select(p) => Operator::Select(p),
+            NodeOp::Join(spec) => Operator::Join(spec),
+            NodeOp::HUnion => Operator::HUnion,
+            NodeOp::HDifference => Operator::HDifference,
+            NodeOp::HProduct => Operator::HProduct,
+            NodeOp::HProject(attrs) => Operator::HProject(attrs),
+            NodeOp::HSelect(p) => Operator::HSelect(p),
+            NodeOp::Delta(g, v) => Operator::Delta(g, v),
+            NodeOp::HJoin(spec) => Operator::HJoin(spec),
+        })
+    }
 }
 
 /// One interned node: its operator, children, and transitive read set.

@@ -1685,7 +1685,7 @@ fn measure_compaction() -> (f64, f64, f64, f64, u64) {
         compacted,
         full_copy,
         compact_us,
-        stats.deltas_folded as u64,
+        stats.deltas_folded,
     )
 }
 
@@ -1794,7 +1794,7 @@ fn e17_engine(level: u8) -> Engine {
     // The memo would answer repeats from cached views; disable it so
     // every evaluation measures the plan, not the cache.
     engine.set_memo_capacity(0);
-    let specs: [(&str, &[(&str, DomainType)], usize); 3] = [
+    let specs: [RelSpec; 3] = [
         (
             "emp",
             &[("eno", DomainType::Int), ("esal", DomainType::Int)],
@@ -1958,7 +1958,11 @@ fn e18_engine(level: u8) -> Engine {
     engine
 }
 
-fn e18_specs() -> [(&'static str, &'static [(&'static str, DomainType)], usize); 2] {
+/// A generated relation for the plan experiments: name, attributes with
+/// their domains, and cardinality.
+type RelSpec = (&'static str, &'static [(&'static str, DomainType)], usize);
+
+fn e18_specs() -> [RelSpec; 2] {
     [
         (
             "emp",

@@ -77,6 +77,7 @@ pub use ext::update::{append, delete_where, replace_where, Assignment};
 pub use semantics::database::{Database, DatabaseState};
 pub use semantics::domains::{Relation, RelationType, StateValue, TransactionNumber, Version};
 pub use semantics::expr_eval::{RollbackFilter, StateSource};
+pub use semantics::operator::Operator;
 pub use syntax::command::{Command, CommandOutcome};
 pub use syntax::expr::{Expr, JoinPhysical, JoinSpec, TxSpec};
 pub use syntax::sentence::Sentence;

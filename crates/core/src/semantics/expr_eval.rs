@@ -10,13 +10,13 @@
 //! evaluator takes `&Database` and returns a fresh [`StateValue`].
 
 use txtime_exec::{ExecPool, OpKind};
-use txtime_historical::HistoricalState;
-use txtime_snapshot::{Predicate, SnapshotState};
+use txtime_snapshot::Predicate;
 
 use crate::error::EvalError;
 use crate::semantics::aux::find_state;
 use crate::semantics::database::Database;
 use crate::semantics::domains::{Relation, RelationType, StateValue};
+use crate::semantics::operator::Operator;
 use crate::syntax::expr::{Expr, TxSpec};
 
 /// A selection/projection pair pushed down into rollback resolution.
@@ -47,63 +47,36 @@ impl<'a> RollbackFilter<'a> {
         }
     }
 
-    /// Whether the filter does anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.predicate.is_none() && self.project.is_none()
-    }
-
-    /// Applies the filter to a resolved state: σ then π, dispatching to
-    /// the snapshot or historical operators to match the wrapping
-    /// expression (`historical` is the same flag that was passed to
+    /// Applies the filter to a resolved state: σ then π, the snapshot
+    /// or historical operators to match the wrapping expression
+    /// (`historical` is the same flag that was passed to
     /// [`StateSource::resolve_rollback`]).
     ///
     /// Error behavior is identical to evaluating the un-pushed
-    /// expression: a state of the wrong kind is diagnosed with the same
+    /// expression: both steps go through the same [`Operator::apply`],
+    /// so a state of the wrong kind is diagnosed with the same
     /// `StateKindMismatch` (named after the innermost wrapping operator,
     /// which evaluates first), and predicate/attribute errors surface
-    /// unchanged from the same operator implementations.
-    pub fn apply(&self, value: StateValue, historical: bool) -> Result<StateValue, EvalError> {
-        match (value, historical) {
-            (StateValue::Snapshot(s), false) => {
-                let s = match self.predicate {
-                    Some(p) => s.select(p)?,
-                    None => s,
-                };
-                let s = match self.project {
-                    Some(attrs) => s.project(attrs)?,
-                    None => s,
-                };
-                Ok(StateValue::Snapshot(s))
-            }
-            (StateValue::Historical(h), true) => {
-                let h = match self.predicate {
-                    Some(p) => h.hselect(p)?,
-                    None => h,
-                };
-                let h = match self.project {
-                    Some(attrs) => h.hproject(attrs)?,
-                    None => h,
-                };
-                Ok(StateValue::Historical(h))
-            }
-            (value, historical) => {
-                if self.is_empty() {
-                    return Ok(value);
-                }
-                // The innermost wrapper evaluates first in the un-pushed
-                // expression, so its name carries the diagnostic.
-                let operator = match (self.predicate.is_some(), historical) {
-                    (true, false) => "select",
-                    (false, false) => "project",
-                    (true, true) => "hselect",
-                    (false, true) => "hproject",
-                };
-                Err(EvalError::StateKindMismatch {
-                    operator,
-                    expected_historical: historical,
-                })
-            }
+    /// unchanged.
+    pub fn apply(&self, mut value: StateValue, historical: bool) -> Result<StateValue, EvalError> {
+        let pool = ExecPool::sequential();
+        if let Some(p) = self.predicate {
+            let select = if historical {
+                Operator::HSelect(p)
+            } else {
+                Operator::Select(p)
+            };
+            value = select.apply(value, None, pool)?;
         }
+        if let Some(attrs) = self.project {
+            let project = if historical {
+                Operator::HProject(attrs)
+            } else {
+                Operator::Project(attrs)
+            };
+            value = project.apply(value, None, pool)?;
+        }
+        Ok(value)
     }
 }
 
@@ -112,10 +85,10 @@ impl<'a> RollbackFilter<'a> {
 ///
 /// The reference semantics implements this for [`Database`] via FINDSTATE;
 /// the efficient engines in `txtime-storage` implement it over their own
-/// representations. Everything else in **E** — the operators — is shared,
-/// which is exactly what makes "demonstrating the equivalence of their
-/// semantics with the simple semantics presented here" (§5) a matter of
-/// testing this one method.
+/// representations. Everything else in **E** — the walk and the operator
+/// table ([`Operator`]) — is shared, which is exactly what makes
+/// "demonstrating the equivalence of their semantics with the simple
+/// semantics presented here" (§5) a matter of testing this one method.
 pub trait StateSource {
     /// Resolves `ρ(ident, spec)` (`historical = false`) or
     /// `ρ̂(ident, spec)` (`historical = true`).
@@ -156,378 +129,85 @@ impl StateSource for Database {
 
 impl Expr {
     /// Evaluates the expression against `db` (the denotation
-    /// `E⟦self⟧ db`).
+    /// `E⟦self⟧ db`): the one walk of [`Expr::eval_with_pool`], on the
+    /// one-thread pool.
     pub fn eval(&self, db: &Database) -> Result<StateValue, EvalError> {
-        self.eval_with(db)
+        self.eval_with_pool(db, ExecPool::sequential())
     }
 
-    /// Evaluates against any [`StateSource`].
-    pub fn eval_with(&self, db: &impl StateSource) -> Result<StateValue, EvalError> {
-        match self {
-            Expr::SnapshotConst(s) => Ok(StateValue::Snapshot(s.clone())),
-            Expr::HistoricalConst(h) => Ok(StateValue::Historical(h.clone())),
-
-            Expr::Union(a, b) => {
-                let (l, r) = (a.eval_snapshot(db, "union")?, b.eval_snapshot(db, "union")?);
-                Ok(StateValue::Snapshot(l.union(&r)?))
-            }
-            Expr::Difference(a, b) => {
-                let (l, r) = (a.eval_snapshot(db, "minus")?, b.eval_snapshot(db, "minus")?);
-                Ok(StateValue::Snapshot(l.difference(&r)?))
-            }
-            Expr::Product(a, b) => {
-                let (l, r) = (a.eval_snapshot(db, "times")?, b.eval_snapshot(db, "times")?);
-                Ok(StateValue::Snapshot(l.product(&r)?))
-            }
-            Expr::Project(attrs, e) => match &**e {
-                // π_X(ρ(I, N)) and π_X(σ_F(ρ(I, N))): push the operators
-                // into rollback resolution.
-                Expr::Rollback(ident, spec) => {
-                    let filter = RollbackFilter {
-                        predicate: None,
-                        project: Some(attrs),
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, false, &filter)
-                }
-                Expr::Select(p, inner) if matches!(&**inner, Expr::Rollback(..)) => {
-                    let Expr::Rollback(ident, spec) = &**inner else {
-                        unreachable!("guard matched Rollback");
-                    };
-                    let filter = RollbackFilter {
-                        predicate: Some(p),
-                        project: Some(attrs),
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, false, &filter)
-                }
-                _ => {
-                    let s = e.eval_snapshot(db, "project")?;
-                    Ok(StateValue::Snapshot(s.project(attrs)?))
-                }
-            },
-            Expr::Select(p, e) => match &**e {
-                // σ_F(ρ(I, N)): push the selection into resolution.
-                Expr::Rollback(ident, spec) => {
-                    let filter = RollbackFilter {
-                        predicate: Some(p),
-                        project: None,
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, false, &filter)
-                }
-                _ => {
-                    let s = e.eval_snapshot(db, "select")?;
-                    Ok(StateValue::Snapshot(s.select(p)?))
-                }
-            },
-            Expr::Rollback(ident, spec) => db.resolve_rollback(ident, *spec, false),
-
-            Expr::HUnion(a, b) => {
-                let (l, r) = (
-                    a.eval_historical(db, "hunion")?,
-                    b.eval_historical(db, "hunion")?,
-                );
-                Ok(StateValue::Historical(l.hunion(&r)?))
-            }
-            Expr::HDifference(a, b) => {
-                let (l, r) = (
-                    a.eval_historical(db, "hminus")?,
-                    b.eval_historical(db, "hminus")?,
-                );
-                Ok(StateValue::Historical(l.hdifference(&r)?))
-            }
-            Expr::HProduct(a, b) => {
-                let (l, r) = (
-                    a.eval_historical(db, "htimes")?,
-                    b.eval_historical(db, "htimes")?,
-                );
-                Ok(StateValue::Historical(l.hproduct(&r)?))
-            }
-            Expr::HProject(attrs, e) => match &**e {
-                // π̂_X(ρ̂(I, N)) and π̂_X(σ̂_F(ρ̂(I, N))): the historical
-                // pushdown shapes.
-                Expr::HRollback(ident, spec) => {
-                    let filter = RollbackFilter {
-                        predicate: None,
-                        project: Some(attrs),
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, true, &filter)
-                }
-                Expr::HSelect(p, inner) if matches!(&**inner, Expr::HRollback(..)) => {
-                    let Expr::HRollback(ident, spec) = &**inner else {
-                        unreachable!("guard matched HRollback");
-                    };
-                    let filter = RollbackFilter {
-                        predicate: Some(p),
-                        project: Some(attrs),
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, true, &filter)
-                }
-                _ => {
-                    let h = e.eval_historical(db, "hproject")?;
-                    Ok(StateValue::Historical(h.hproject(attrs)?))
-                }
-            },
-            Expr::HSelect(p, e) => match &**e {
-                // σ̂_F(ρ̂(I, N)): push the selection into resolution.
-                Expr::HRollback(ident, spec) => {
-                    let filter = RollbackFilter {
-                        predicate: Some(p),
-                        project: None,
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, true, &filter)
-                }
-                _ => {
-                    let h = e.eval_historical(db, "hselect")?;
-                    Ok(StateValue::Historical(h.hselect(p)?))
-                }
-            },
-            Expr::Delta(g, v, e) => {
-                let h = e.eval_historical(db, "delta")?;
-                Ok(StateValue::Historical(h.delta(g, v)?))
-            }
-            Expr::HRollback(ident, spec) => db.resolve_rollback(ident, *spec, true),
-
-            Expr::Join(spec, a, b) => {
-                let (l, r) = (a.eval_snapshot(db, "join")?, b.eval_snapshot(db, "join")?);
-                Ok(StateValue::Snapshot(l.equi_join(&r, spec)?))
-            }
-            Expr::HJoin(spec, a, b) => {
-                let (l, r) = (
-                    a.eval_historical(db, "hjoin")?,
-                    b.eval_historical(db, "hjoin")?,
-                );
-                Ok(StateValue::Historical(l.hequi_join(&r, spec)?))
-            }
-        }
-    }
-
-    /// Evaluates against any [`StateSource`] with work scheduled on an
-    /// [`ExecPool`] — the parallel twin of [`Expr::eval_with`].
+    /// Evaluates against any [`StateSource`], with the operator kernels
+    /// scheduled on `pool` — the only walk over [`Expr`].
     ///
-    /// Three things run concurrently: the two subtrees of every binary
-    /// operator ([`ExecPool::join`]), and the partitioned operator
-    /// kernels (`*_par` in `txtime-snapshot`/`txtime-historical`). The
-    /// result — value *and* error — is identical to the sequential
-    /// evaluation: chunk merges preserve the canonical state order, and
-    /// the left subtree's result is always inspected before the right's,
-    /// so error selection matches left-to-right evaluation. A one-thread
-    /// pool runs everything inline. The parallel-determinism property
-    /// tests in `txtime-storage` pin this equivalence on every backend.
+    /// Leaves resolve through the source; a selection/projection over a
+    /// ρ/ρ̂ leaf is handed to
+    /// [`StateSource::resolve_rollback_filtered`] so stores can filter
+    /// while reconstructing; every other node applies its [`Operator`].
+    /// With more than one thread, the two subtrees of a binary operator
+    /// run concurrently ([`ExecPool::join`]) and the `*_par` kernels
+    /// partition their input. The result — value *and* error — is the
+    /// same at every thread count: chunk merges preserve the canonical
+    /// state order, and the left operand (its kind included) is checked
+    /// before the right, so error selection matches left-to-right
+    /// evaluation. A one-thread pool runs everything inline and stops at
+    /// the first error. The parallel-determinism property tests in
+    /// `txtime-storage` pin this equivalence on every backend.
     pub fn eval_with_pool<S: StateSource + Sync>(
         &self,
         db: &S,
         pool: &ExecPool,
     ) -> Result<StateValue, EvalError> {
-        match self {
-            Expr::SnapshotConst(s) => Ok(StateValue::Snapshot(s.clone())),
-            Expr::HistoricalConst(h) => Ok(StateValue::Historical(h.clone())),
-
-            Expr::Union(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_snapshot_pool(db, pool, "union"),
-                    || b.eval_snapshot_pool(db, pool, "union"),
-                );
-                Ok(StateValue::Snapshot(l?.union_par(&r?, pool)?))
-            }
-            Expr::Difference(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_snapshot_pool(db, pool, "minus"),
-                    || b.eval_snapshot_pool(db, pool, "minus"),
-                );
-                Ok(StateValue::Snapshot(l?.difference_par(&r?, pool)?))
-            }
-            Expr::Product(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_snapshot_pool(db, pool, "times"),
-                    || b.eval_snapshot_pool(db, pool, "times"),
-                );
-                Ok(StateValue::Snapshot(l?.product_par(&r?, pool)?))
-            }
-            Expr::Project(attrs, e) => match &**e {
-                // The pushdown shapes resolve exactly as in the
-                // sequential evaluator — the store does the filtering.
-                Expr::Rollback(ident, spec) => {
-                    let filter = RollbackFilter {
-                        predicate: None,
-                        project: Some(attrs),
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, false, &filter)
-                }
-                Expr::Select(p, inner) if matches!(&**inner, Expr::Rollback(..)) => {
-                    let Expr::Rollback(ident, spec) = &**inner else {
-                        unreachable!("guard matched Rollback");
-                    };
-                    let filter = RollbackFilter {
-                        predicate: Some(p),
-                        project: Some(attrs),
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, false, &filter)
-                }
-                _ => {
-                    let s = e.eval_snapshot_pool(db, pool, "project")?;
-                    Ok(StateValue::Snapshot(s.project_par(attrs, pool)?))
-                }
-            },
-            Expr::Select(p, e) => match &**e {
-                Expr::Rollback(ident, spec) => {
-                    let filter = RollbackFilter {
-                        predicate: Some(p),
-                        project: None,
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, false, &filter)
-                }
-                _ => {
-                    let s = e.eval_snapshot_pool(db, pool, "select")?;
-                    Ok(StateValue::Snapshot(s.select_par(p, pool)?))
-                }
-            },
-            Expr::Rollback(ident, spec) => db.resolve_rollback(ident, *spec, false),
-
-            Expr::HUnion(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_historical_pool(db, pool, "hunion"),
-                    || b.eval_historical_pool(db, pool, "hunion"),
-                );
-                Ok(StateValue::Historical(l?.hunion_par(&r?, pool)?))
-            }
-            Expr::HDifference(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_historical_pool(db, pool, "hminus"),
-                    || b.eval_historical_pool(db, pool, "hminus"),
-                );
-                Ok(StateValue::Historical(l?.hdifference_par(&r?, pool)?))
-            }
-            Expr::HProduct(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_historical_pool(db, pool, "htimes"),
-                    || b.eval_historical_pool(db, pool, "htimes"),
-                );
-                Ok(StateValue::Historical(l?.hproduct_par(&r?, pool)?))
-            }
-            Expr::HProject(attrs, e) => match &**e {
-                Expr::HRollback(ident, spec) => {
-                    let filter = RollbackFilter {
-                        predicate: None,
-                        project: Some(attrs),
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, true, &filter)
-                }
-                Expr::HSelect(p, inner) if matches!(&**inner, Expr::HRollback(..)) => {
-                    let Expr::HRollback(ident, spec) = &**inner else {
-                        unreachable!("guard matched HRollback");
-                    };
-                    let filter = RollbackFilter {
-                        predicate: Some(p),
-                        project: Some(attrs),
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, true, &filter)
-                }
-                _ => {
-                    let h = e.eval_historical_pool(db, pool, "hproject")?;
-                    Ok(StateValue::Historical(h.hproject_par(attrs, pool)?))
-                }
-            },
-            Expr::HSelect(p, e) => match &**e {
-                Expr::HRollback(ident, spec) => {
-                    let filter = RollbackFilter {
-                        predicate: Some(p),
-                        project: None,
-                    };
-                    db.resolve_rollback_filtered(ident, *spec, true, &filter)
-                }
-                _ => {
-                    let h = e.eval_historical_pool(db, pool, "hselect")?;
-                    Ok(StateValue::Historical(h.hselect_par(p, pool)?))
-                }
-            },
-            Expr::Delta(g, v, e) => {
-                // δ_{G,V} rewrites valid-time components per entry; it
-                // stays sequential (subtree parallelism still applies).
-                let h = e.eval_historical_pool(db, pool, "delta")?;
-                Ok(StateValue::Historical(h.delta(g, v)?))
-            }
-            Expr::HRollback(ident, spec) => db.resolve_rollback(ident, *spec, true),
-
-            Expr::Join(spec, a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_snapshot_pool(db, pool, "join"),
-                    || b.eval_snapshot_pool(db, pool, "join"),
-                );
-                Ok(StateValue::Snapshot(l?.equi_join_par(&r?, spec, pool)?))
-            }
-            Expr::HJoin(spec, a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_historical_pool(db, pool, "hjoin"),
-                    || b.eval_historical_pool(db, pool, "hjoin"),
-                );
-                Ok(StateValue::Historical(l?.hequi_join_par(&r?, spec, pool)?))
-            }
+        if let Some((ident, spec, historical, filter)) = self.pushed_rollback() {
+            return db.resolve_rollback_filtered(ident, spec, historical, &filter);
         }
+        let (op, left, right) = match self {
+            Expr::SnapshotConst(s) => return Ok(StateValue::Snapshot(s.clone())),
+            Expr::HistoricalConst(h) => return Ok(StateValue::Historical(h.clone())),
+            Expr::Rollback(ident, spec) => return db.resolve_rollback(ident, *spec, false),
+            Expr::HRollback(ident, spec) => return db.resolve_rollback(ident, *spec, true),
+            _ => self.operator().expect("every other node is an operator"),
+        };
+        let operand = |e: &Expr| op.operand(e.eval_with_pool(db, pool));
+        let (left, right) = match right {
+            None => (operand(left)?, None),
+            Some(right) => {
+                let (l, r) = pool.join(OpKind::Subtree, || operand(left), || operand(right))?;
+                (l, Some(r))
+            }
+        };
+        op.apply(left, right, pool)
     }
 
-    /// [`Expr::eval_snapshot`] through the pool-scheduled evaluator.
-    fn eval_snapshot_pool<S: StateSource + Sync>(
-        &self,
-        db: &S,
-        pool: &ExecPool,
-        operator: &'static str,
-    ) -> Result<SnapshotState, EvalError> {
-        self.eval_with_pool(db, pool)?
-            .into_snapshot()
-            .ok_or(EvalError::StateKindMismatch {
-                operator,
-                expected_historical: false,
-            })
-    }
-
-    /// [`Expr::eval_historical`] through the pool-scheduled evaluator.
-    fn eval_historical_pool<S: StateSource + Sync>(
-        &self,
-        db: &S,
-        pool: &ExecPool,
-        operator: &'static str,
-    ) -> Result<HistoricalState, EvalError> {
-        self.eval_with_pool(db, pool)?
-            .into_historical()
-            .ok_or(EvalError::StateKindMismatch {
-                operator,
-                expected_historical: true,
-            })
-    }
-
-    /// Evaluates, requiring a snapshot state.
-    pub fn eval_snapshot(
-        &self,
-        db: &impl StateSource,
-        operator: &'static str,
-    ) -> Result<SnapshotState, EvalError> {
-        self.eval_with(db)?
-            .into_snapshot()
-            .ok_or(EvalError::StateKindMismatch {
-                operator,
-                expected_historical: false,
-            })
-    }
-
-    /// Evaluates, requiring an historical state.
-    pub fn eval_historical(
-        &self,
-        db: &impl StateSource,
-        operator: &'static str,
-    ) -> Result<HistoricalState, EvalError> {
-        self.eval_with(db)?
-            .into_historical()
-            .ok_or(EvalError::StateKindMismatch {
-                operator,
-                expected_historical: true,
-            })
+    /// The pushdown shapes `σ_F(ρ(I, N))`, `π_X(ρ(I, N))` and
+    /// `π_X(σ_F(ρ(I, N)))`, and their hatted counterparts: the rollback
+    /// to resolve and the filter to run during resolution. Mixed-kind
+    /// shapes (`σ` over `ρ̂`) are not pushed; they evaluate — and fail —
+    /// operator by operator.
+    fn pushed_rollback(&self) -> Option<(&str, TxSpec, bool, RollbackFilter<'_>)> {
+        let historical = self.is_historical();
+        let (project, inner) = match self {
+            Expr::Project(attrs, e) | Expr::HProject(attrs, e) => (Some(&attrs[..]), &**e),
+            _ => (None, self),
+        };
+        let (predicate, leaf) = match inner {
+            Expr::Select(p, e) | Expr::HSelect(p, e) if inner.is_historical() == historical => {
+                (Some(p), &**e)
+            }
+            _ => (None, inner),
+        };
+        match leaf {
+            Expr::Rollback(ident, spec) | Expr::HRollback(ident, spec)
+                if leaf.is_historical() == historical
+                    && (predicate.is_some() || project.is_some()) =>
+            {
+                Some((
+                    ident,
+                    *spec,
+                    historical,
+                    RollbackFilter { predicate, project },
+                ))
+            }
+            _ => None,
+        }
     }
 }
 
@@ -616,8 +296,8 @@ mod tests {
     use crate::semantics::domains::TransactionNumber;
     use crate::syntax::command::Command;
     use crate::syntax::sentence::Sentence;
-    use txtime_historical::TemporalElement;
-    use txtime_snapshot::{DomainType, Predicate, Schema, Tuple, Value};
+    use txtime_historical::{HistoricalState, TemporalElement};
+    use txtime_snapshot::{DomainType, Predicate, Schema, SnapshotState, Tuple, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![("name", DomainType::Str), ("sal", DomainType::Int)]).unwrap()

@@ -5,3 +5,4 @@ pub mod cmd_eval;
 pub mod database;
 pub mod domains;
 pub mod expr_eval;
+pub mod operator;

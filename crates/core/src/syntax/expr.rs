@@ -185,14 +185,6 @@ impl Expr {
         Expr::HJoin(spec, Box::new(self), Box::new(other))
     }
 
-    /// Whether any node in the tree is a physical join. Engines route
-    /// join-bearing plans through the pool-scheduled evaluator so the
-    /// join counters are recorded even with a one-thread pool.
-    pub fn contains_join(&self) -> bool {
-        matches!(self, Expr::Join(..) | Expr::HJoin(..))
-            || self.operands().iter().any(|e| e.contains_join())
-    }
-
     /// Whether this expression produces an historical (vs snapshot)
     /// state. Purely syntactic: the outermost operator decides.
     pub fn is_historical(&self) -> bool {
@@ -314,21 +306,13 @@ impl Expr {
         match self {
             Expr::SnapshotConst(_) => "snapshot constant",
             Expr::HistoricalConst(_) => "historical constant",
-            Expr::Union(..) => "union",
-            Expr::Difference(..) => "minus",
-            Expr::Product(..) => "times",
-            Expr::Project(..) => "project",
-            Expr::Select(..) => "select",
             Expr::Rollback(..) => "rho",
-            Expr::HUnion(..) => "hunion",
-            Expr::HDifference(..) => "hminus",
-            Expr::HProduct(..) => "htimes",
-            Expr::HProject(..) => "hproject",
-            Expr::HSelect(..) => "hselect",
-            Expr::Delta(..) => "delta",
             Expr::HRollback(..) => "hrho",
-            Expr::Join(..) => "join",
-            Expr::HJoin(..) => "hjoin",
+            _ => self
+                .operator()
+                .expect("every other node is an operator")
+                .0
+                .name(),
         }
     }
 

@@ -15,8 +15,8 @@
 //!   chunks are disjoint ascending ranges of the canonical order, so an
 //!   in-order merge reproduces the sequential result bit for bit.
 //! * **Independent subtrees** ([`ExecPool::join`]): the two children of a
-//!   binary operator are evaluated concurrently; the left result is
-//!   always inspected first, so error selection matches the sequential
+//!   binary operator are evaluated concurrently; the left side's error
+//!   always wins, so error selection matches the sequential
 //!   left-to-right evaluation order.
 //!
 //! The pool is hermetic — `std::thread::scope` only, no work-stealing
@@ -30,6 +30,7 @@
 //! call/chunk/wall-time counters, surfaced by [`ExecPool::stats`] (and, in
 //! the CLI, `txtime stats`).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -344,6 +345,13 @@ impl ExecPool {
         self.threads
     }
 
+    /// How many chunks `items` units of work split into: at most one per
+    /// thread, and each of at least `grain` units, so tiny inputs stay on
+    /// the calling thread instead of paying spawn overhead.
+    pub fn chunks_for(&self, items: usize, grain: usize) -> usize {
+        (items / grain.max(1)).clamp(1, self.threads)
+    }
+
     /// Partition/merge: splits `items` into at most `threads` contiguous
     /// chunks of at least `grain` items, maps each chunk with `f` (the
     /// first chunk on the calling thread, the rest on scoped workers),
@@ -360,9 +368,7 @@ impl ExecPool {
         F: Fn(&[T]) -> R + Sync,
     {
         let started = Instant::now();
-        // Every chunk gets at least `grain` items, so tiny inputs stay on
-        // the calling thread instead of paying spawn overhead.
-        let want = (items.len() / grain.max(1)).clamp(1, self.threads.max(1));
+        let want = self.chunks_for(items.len(), grain);
         let results = if want <= 1 {
             vec![f(items)]
         } else {
@@ -386,34 +392,37 @@ impl ExecPool {
         results
     }
 
-    /// Evaluates two independent computations, concurrently when a thread
-    /// is available, and returns `(a, b)`.
+    /// Evaluates two independent fallible computations, concurrently
+    /// when a thread is available, and returns both results.
     ///
-    /// Callers inspect the left result first, so error selection matches
-    /// sequential left-to-right evaluation regardless of which side
-    /// finished first.
-    pub fn join<A, B, FA, FB>(&self, op: OpKind, fa: FA, fb: FB) -> (A, B)
+    /// The left side's error wins, whichever side finished first, so
+    /// error selection matches sequential left-to-right evaluation. Run
+    /// inline, the right side never starts once the left has failed —
+    /// the sequential short-circuit.
+    pub fn join<A, B, E, FA, FB>(&self, op: OpKind, fa: FA, fb: FB) -> Result<(A, B), E>
     where
         A: Send,
         B: Send,
-        FA: FnOnce() -> A + Send,
-        FB: FnOnce() -> B + Send,
+        E: Send,
+        FA: FnOnce() -> Result<A, E> + Send,
+        FB: FnOnce() -> Result<B, E> + Send,
     {
         // Spawning is bounded by the thread budget: deeply nested binary
         // nodes degrade to inline evaluation instead of a thread explosion.
         if self.threads <= 1 || self.in_flight.load(Ordering::Relaxed) + 1 >= self.threads {
-            return (fa(), fb());
+            let a = fa()?;
+            return Ok((a, fb()?));
         }
         let started = Instant::now();
         self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let out = std::thread::scope(|s| {
+        let (a, b) = std::thread::scope(|s| {
             let left = s.spawn(fa);
             let b = fb();
             (left.join().expect("exec worker panicked"), b)
         });
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
         self.record(op, 2, started.elapsed().as_nanos() as u64);
-        out
+        Ok((a?, b?))
     }
 
     fn record(&self, op: OpKind, chunks: u64, nanos: u64) {
@@ -481,6 +490,50 @@ impl ExecPool {
     }
 }
 
+/// Concatenates per-chunk results in chunk order — the merge step of
+/// every partitioned kernel. A single chunk, which is all a one-thread
+/// pool ever yields, is handed back as is, without a copy.
+pub fn concat<T>(mut runs: Vec<Vec<T>>) -> Vec<T> {
+    if runs.len() == 1 {
+        return runs.pop().expect("one run");
+    }
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    for run in runs {
+        out.extend(run);
+    }
+    out
+}
+
+/// Splits two runs, each sorted by `key`, into at most `want` aligned
+/// part ranges: the left run is cut at (roughly) even indices, and the
+/// right run at the `partition_point` of each left pivot's key, so part
+/// *i* of both runs covers the same disjoint key interval and the
+/// per-part merges concatenate, in order, to the whole merge.
+/// O(want · log |right|).
+pub fn aligned_parts<T, K: Ord + ?Sized>(
+    left: &[T],
+    right: &[T],
+    want: usize,
+    key: impl Fn(&T) -> &K,
+) -> Vec<(Range<usize>, Range<usize>)> {
+    let want = want.max(1);
+    let mut cuts: Vec<(usize, usize)> = vec![(0, 0)];
+    for i in 1..want {
+        let l = (left.len() * i) / want;
+        let (prev_l, prev_r) = *cuts.last().expect("cuts is non-empty");
+        if l <= prev_l || l >= left.len() {
+            continue; // degenerate cut: fold into the neighbouring part
+        }
+        let pivot = key(&left[l]);
+        let r = prev_r + right[prev_r..].partition_point(|t| key(t) < pivot);
+        cuts.push((l, r));
+    }
+    cuts.push((left.len(), right.len()));
+    cuts.windows(2)
+        .map(|w| (w[0].0..w[1].0, w[0].1..w[1].1))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,20 +591,78 @@ mod tests {
     fn join_returns_both_sides_in_order() {
         for threads in [1, 4] {
             let pool = ExecPool::new(threads);
-            let (a, b) = pool.join(OpKind::Subtree, || 1 + 1, || "two");
+            let (a, b) = pool
+                .join(OpKind::Subtree, || Ok::<_, ()>(1 + 1), || Ok("two"))
+                .unwrap();
             assert_eq!((a, b), (2, "two"));
+        }
+    }
+
+    #[test]
+    fn join_reports_the_left_error_first() {
+        for threads in [1, 4] {
+            let pool = ExecPool::new(threads);
+            let right_ran = AtomicUsize::new(0);
+            let out: Result<((), ()), &str> = pool.join(
+                OpKind::Subtree,
+                || Err("left"),
+                || {
+                    right_ran.fetch_add(1, Ordering::Relaxed);
+                    Err("right")
+                },
+            );
+            assert_eq!(out, Err("left"), "{threads} threads");
+            if threads == 1 {
+                // Inline evaluation short-circuits like a sequential walk.
+                assert_eq!(right_ran.load(Ordering::Relaxed), 0);
+            }
         }
     }
 
     #[test]
     fn join_nests_without_exceeding_budget() {
         let pool = ExecPool::new(2);
-        let (a, (b, c)) = pool.join(
-            OpKind::Subtree,
-            || 1,
-            || pool.join(OpKind::Subtree, || 2, || 3),
-        );
+        let (a, (b, c)) = pool
+            .join(
+                OpKind::Subtree,
+                || Ok::<_, ()>(1),
+                || pool.join(OpKind::Subtree, || Ok(2), || Ok(3)),
+            )
+            .unwrap();
         assert_eq!((a, b, c), (1, 2, 3));
+    }
+
+    #[test]
+    fn concat_keeps_chunk_order_and_moves_a_single_run() {
+        assert_eq!(concat(vec![vec![1, 2], vec![], vec![3]]), vec![1, 2, 3]);
+        assert!(concat::<u8>(Vec::new()).is_empty());
+        let run = vec![4, 5, 6];
+        let ptr = run.as_ptr();
+        let out = concat(vec![run]);
+        assert_eq!(out.as_ptr(), ptr, "a single run is moved, not copied");
+    }
+
+    #[test]
+    fn aligned_parts_cover_both_runs_in_order() {
+        // Entries sorted by their key component, as historical runs are.
+        let left: Vec<(u64, char)> = (0..500).map(|k| (k * 3, 'l')).collect();
+        let right: Vec<(u64, char)> = (0..700).map(|k| (k * 2 + 1, 'r')).collect();
+        for want in [1, 2, 3, 7, 16] {
+            let parts = aligned_parts(&left, &right, want, |(k, _)| k);
+            assert!(parts.len() <= want);
+            assert_eq!(parts.first().unwrap().0.start, 0);
+            assert_eq!(parts.first().unwrap().1.start, 0);
+            assert_eq!(parts.last().unwrap().0.end, left.len());
+            assert_eq!(parts.last().unwrap().1.end, right.len());
+            for w in parts.windows(2) {
+                assert_eq!(w[0].0.end, w[1].0.start);
+                assert_eq!(w[0].1.end, w[1].1.start);
+                // Every key of a part lies below every key of the next.
+                let pivot = left[w[1].0.start].0;
+                assert!(right[w[0].1.clone()].iter().all(|(k, _)| *k < pivot));
+                assert!(right[w[1].1.clone()].iter().all(|(k, _)| *k >= pivot));
+            }
+        }
     }
 
     #[test]
@@ -560,7 +671,8 @@ mod tests {
         let items: Vec<u64> = (0..64).collect();
         pool.map_chunks(OpKind::Select, &items, 8, <[u64]>::len);
         pool.map_chunks(OpKind::Select, &items, 64, <[u64]>::len);
-        pool.join(OpKind::Subtree, || (), || ());
+        pool.join(OpKind::Subtree, || Ok::<_, ()>(()), || Ok(()))
+            .unwrap();
         let stats = pool.stats();
         assert_eq!(stats.threads, 4);
         let select = stats.ops.iter().find(|o| o.name == "select").unwrap();

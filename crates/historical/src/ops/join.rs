@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use txtime_exec::{ExecPool, OpKind};
+use txtime_exec::{concat, ExecPool, OpKind};
 use txtime_snapshot::ops::join::{key_columns, merge_applies};
 use txtime_snapshot::predicate::CompiledPredicate;
 use txtime_snapshot::{JoinPhysical, JoinSpec, Value};
@@ -87,11 +87,7 @@ impl HistoricalState {
             }),
         };
         pool.note_join(other.len() as u64, self.len() as u64, chunks.len() as u64);
-        let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            out.extend(c);
-        }
-        Ok(HistoricalState::from_sorted_vec(schema, out))
+        Ok(HistoricalState::from_sorted_vec(schema, concat(chunks)))
     }
 }
 

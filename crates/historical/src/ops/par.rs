@@ -7,16 +7,16 @@
 //! evaluated on scoped worker threads, and the per-range results are
 //! concatenated in range order. σ̂, π̂-free kernels and −̂ yield disjoint
 //! sorted runs; ×̂ chunks the left operand so runs stay disjoint and
-//! sorted; ∪̂ and −̂ split *both* operands at aligned pivot tuples so
-//! each chunk is an independent two-pointer merge.
+//! sorted; ∪̂ and −̂ split *both* operands at aligned pivot tuples
+//! ([`txtime_exec::aligned_parts`]) so each chunk is an independent
+//! two-pointer merge. A one-thread pool yields a single chunk, which
+//! [`txtime_exec::concat`] hands back without a copy.
 
-use std::ops::Range;
-
-use txtime_exec::{ExecPool, OpKind};
+use txtime_exec::{aligned_parts, concat, ExecPool, OpKind};
 use txtime_snapshot::Predicate;
 
 use crate::ops::hmerge::{hmerge_difference, hmerge_union};
-use crate::state::{Entry, HistoricalState};
+use crate::state::HistoricalState;
 use crate::Result;
 
 /// Minimum entries per chunk for the entry-at-a-time kernels; sourced
@@ -25,35 +25,6 @@ const SET_GRAIN: usize = OpKind::HSelect.min_chunk();
 
 /// Minimum output pairs per chunk for the product kernel.
 const PRODUCT_PAIR_GRAIN: usize = OpKind::HProduct.min_chunk();
-
-/// Split two sorted runs into at most `want` aligned range pairs: the
-/// left run is cut at evenly spaced indices and the right run at the
-/// matching pivot tuples, so each pair of ranges can be merged
-/// independently and the per-pair outputs concatenated in order.
-pub(crate) fn aligned_parts(
-    left: &[Entry],
-    right: &[Entry],
-    want: usize,
-) -> Vec<(Range<usize>, Range<usize>)> {
-    let want = want.max(1);
-    let mut cuts: Vec<(usize, usize)> = Vec::with_capacity(want + 1);
-    cuts.push((0, 0));
-    let mut prev_l = 0usize;
-    for k in 1..want {
-        let l = k * left.len() / want;
-        if l <= prev_l || l >= left.len() {
-            continue;
-        }
-        let pivot = &left[l].0;
-        let r = right.partition_point(|(t, _)| t < pivot);
-        cuts.push((l, r));
-        prev_l = l;
-    }
-    cuts.push((left.len(), right.len()));
-    cuts.windows(2)
-        .map(|w| (w[0].0..w[1].0, w[0].1..w[1].1))
-        .collect()
-}
 
 impl HistoricalState {
     /// [`HistoricalState::hselect`] evaluated over partitioned chunks.
@@ -66,14 +37,13 @@ impl HistoricalState {
                 .cloned()
                 .collect::<Vec<_>>()
         });
-        let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        for run in runs {
-            out.extend(run);
-        }
-        if out.len() == self.len() {
+        if runs.iter().map(Vec::len).sum::<usize>() == self.len() {
             return Ok(self.clone());
         }
-        Ok(HistoricalState::from_sorted_vec(self.schema().clone(), out))
+        Ok(HistoricalState::from_sorted_vec(
+            self.schema().clone(),
+            concat(runs),
+        ))
     }
 
     /// [`HistoricalState::hproject`] evaluated over partitioned chunks.
@@ -93,11 +63,7 @@ impl HistoricalState {
         // projected entries in input order; from_unsorted_vec coalesces
         // collisions with the same left-to-right element unions as the
         // sequential kernel, independent of chunking.
-        let mut out = Vec::with_capacity(self.len());
-        for run in runs {
-            out.extend(run);
-        }
-        Ok(HistoricalState::from_unsorted_vec(schema, out))
+        Ok(HistoricalState::from_unsorted_vec(schema, concat(runs)))
     }
 
     /// [`HistoricalState::hproduct`] with the left operand partitioned.
@@ -120,11 +86,7 @@ impl HistoricalState {
             }
             pairs
         });
-        let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        for run in runs {
-            out.extend(run);
-        }
-        Ok(HistoricalState::from_sorted_vec(schema, out))
+        Ok(HistoricalState::from_sorted_vec(schema, concat(runs)))
     }
 
     /// [`HistoricalState::hunion`] partitioned into aligned range pairs,
@@ -134,23 +96,20 @@ impl HistoricalState {
         if self.is_empty() || other.is_empty() || self.shares_run(other) {
             return self.hunion(other);
         }
-        let want = (self.len() + other.len()).div_ceil(SET_GRAIN).max(1);
-        let parts = aligned_parts(self.run(), other.run(), want);
+        let want = pool.chunks_for(self.len() + other.len(), SET_GRAIN);
+        let parts = aligned_parts(self.run(), other.run(), want, |(t, _)| t);
         let runs = pool.map_chunks(OpKind::HUnion, &parts, 1, |chunk| {
-            let mut out = Vec::new();
-            for (lr, rr) in chunk {
-                out.extend(hmerge_union(
-                    &self.run()[lr.clone()],
-                    &other.run()[rr.clone()],
-                ));
-            }
-            out
+            concat(
+                chunk
+                    .iter()
+                    .map(|(lr, rr)| hmerge_union(&self.run()[lr.clone()], &other.run()[rr.clone()]))
+                    .collect(),
+            )
         });
-        let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        for run in runs {
-            out.extend(run);
-        }
-        Ok(HistoricalState::from_sorted_vec(self.schema().clone(), out))
+        Ok(HistoricalState::from_sorted_vec(
+            self.schema().clone(),
+            concat(runs),
+        ))
     }
 
     /// [`HistoricalState::hdifference`] partitioned into aligned range
@@ -164,29 +123,31 @@ impl HistoricalState {
         if self.is_empty() || other.is_empty() || self.shares_run(other) {
             return self.hdifference(other);
         }
-        let want = self.len().div_ceil(SET_GRAIN).max(1);
-        let parts = aligned_parts(self.run(), other.run(), want);
+        let want = pool.chunks_for(self.len() + other.len(), SET_GRAIN);
+        let parts = aligned_parts(self.run(), other.run(), want, |(t, _)| t);
         let runs = pool.map_chunks(OpKind::HDifference, &parts, 1, |chunk| {
-            let mut out = Vec::new();
             let mut changed = false;
-            for (lr, rr) in chunk {
-                let (survivors, c) =
-                    hmerge_difference(&self.run()[lr.clone()], &other.run()[rr.clone()]);
-                changed |= c;
-                out.extend(survivors);
-            }
-            (out, changed)
+            let survivors = chunk
+                .iter()
+                .map(|(lr, rr)| {
+                    let (survivors, c) =
+                        hmerge_difference(&self.run()[lr.clone()], &other.run()[rr.clone()]);
+                    changed |= c;
+                    survivors
+                })
+                .collect();
+            (concat(survivors), changed)
         });
         if !runs.iter().any(|(_, changed)| *changed) {
             // No element changed: share the left run, like the
             // sequential kernel.
             return Ok(self.clone());
         }
-        let mut out = Vec::with_capacity(runs.iter().map(|(r, _)| r.len()).sum());
-        for (run, _) in runs {
-            out.extend(run);
-        }
-        Ok(HistoricalState::from_sorted_vec(self.schema().clone(), out))
+        let runs = runs.into_iter().map(|(run, _)| run).collect();
+        Ok(HistoricalState::from_sorted_vec(
+            self.schema().clone(),
+            concat(runs),
+        ))
     }
 }
 
@@ -220,23 +181,6 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         random_historical_state(&mut rng, &schema(prefix), &cfg)
-    }
-
-    #[test]
-    fn aligned_parts_cover_both_runs_in_order() {
-        let a = random(7, "a", 2000);
-        let b = random(8, "a", 1500);
-        for want in [1, 2, 5, 16] {
-            let parts = aligned_parts(a.run(), b.run(), want);
-            assert_eq!(parts.first().unwrap().0.start, 0);
-            assert_eq!(parts.first().unwrap().1.start, 0);
-            assert_eq!(parts.last().unwrap().0.end, a.len());
-            assert_eq!(parts.last().unwrap().1.end, b.len());
-            for w in parts.windows(2) {
-                assert_eq!(w[0].0.end, w[1].0.start);
-                assert_eq!(w[0].1.end, w[1].1.start);
-            }
-        }
     }
 
     #[test]

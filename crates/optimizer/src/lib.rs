@@ -38,17 +38,11 @@ pub mod cost;
 pub mod laws;
 pub mod pushdown;
 pub mod rules;
-pub mod schema_infer;
 pub mod search;
 
-/// The hash-consed expression arena now lives in `txtime-analyze` (the
-/// lint pass walks the same DAG); re-exported here so the memo layer and
-/// older callers keep their `txtime_optimizer::interner` paths.
-pub use txtime_analyze::interner;
+pub use txtime_analyze::{ExprId, ExprInterner, ExprNode, NodeOp, SchemaCatalog};
 
 pub use cost::{delta_beats_reeval, estimate_cost, estimate_rows, sanitize_rows, CostModel};
-pub use interner::{ExprId, ExprInterner, ExprNode, NodeOp};
 pub use pushdown::pushdown;
 pub use rules::{optimize, optimize_with_trace, simplify_predicate, RewriteTrace};
-pub use schema_infer::SchemaCatalog;
 pub use search::{render_explain, render_plan, search, OptimizerStats, PlanReport, SearchStats};

@@ -51,16 +51,14 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use txtime_analyze::{infer_schema, ExprId, ExprInterner, SchemaCatalog};
 use txtime_core::{Expr, JoinPhysical, JoinSpec};
 use txtime_historical::{TemporalExpr, TemporalPred};
-use txtime_snapshot::{CompOp, Operand, Predicate};
+use txtime_snapshot::{CompOp, Operand, Predicate, Schema};
 
 use crate::cost::{estimate_cost, estimate_rows, CostModel};
-use crate::interner::{ExprId, ExprInterner};
 use crate::pushdown::{is_historical_kind, is_snapshot_kind};
 use crate::rules::{conjuncts, subset, RewriteTrace};
-use crate::schema_infer::{infer_schema, SchemaCatalog};
-use txtime_snapshot::Schema;
 
 /// Work counters for one search (or, summed, for an engine's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

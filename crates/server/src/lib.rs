@@ -49,7 +49,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use txtime_analyze::Linter;
-use txtime_core::{Command, CommandOutcome, Expr, TransactionNumber, TxSpec};
+use txtime_core::{as_of, Command, CommandOutcome, Expr, TransactionNumber, TxSpec};
 use txtime_exec::{ExecPool, OpKind};
 use txtime_parser::parse_command_spanned;
 use txtime_storage::{wal, Engine};
@@ -792,8 +792,11 @@ fn exec_command(
         let Command::Display(expr) = &cmd else {
             return Ready("ERR exec: unsupported non-mutating command".to_string());
         };
+        // A snapshot pins every ρ/ρ̂ at ∞ to its transaction — the MVCC
+        // read: append-only stores answer any past version, so the
+        // pinned expression is repeatable under concurrent commits.
         let expr = match snapshot {
-            Some(tx) => pin_expr(expr, tx),
+            Some(tx) => as_of(expr, tx),
             None => expr.clone(),
         };
         let eng = shared.read_engine();
@@ -811,35 +814,6 @@ fn outcome_name(outcome: &CommandOutcome) -> &'static str {
         CommandOutcome::Deleted => "deleted",
         CommandOutcome::Evolved => "evolved",
         CommandOutcome::Displayed(_) => "displayed",
-    }
-}
-
-/// Rewrites every ρ(·, ∞)/ρ̂(·, ∞) leaf to the pinned transaction number
-/// — the MVCC read: append-only stores answer any past version, so the
-/// pinned expression is repeatable under concurrent commits.
-pub fn pin_expr(expr: &Expr, tx: TransactionNumber) -> Expr {
-    let pin = |spec: &TxSpec| match spec {
-        TxSpec::Current => TxSpec::At(tx),
-        at => *at,
-    };
-    let rec = |e: &Expr| Box::new(pin_expr(e, tx));
-    match expr {
-        Expr::SnapshotConst(_) | Expr::HistoricalConst(_) => expr.clone(),
-        Expr::Rollback(ident, spec) => Expr::Rollback(ident.clone(), pin(spec)),
-        Expr::HRollback(ident, spec) => Expr::HRollback(ident.clone(), pin(spec)),
-        Expr::Union(a, b) => Expr::Union(rec(a), rec(b)),
-        Expr::Difference(a, b) => Expr::Difference(rec(a), rec(b)),
-        Expr::Product(a, b) => Expr::Product(rec(a), rec(b)),
-        Expr::Project(attrs, e) => Expr::Project(attrs.clone(), rec(e)),
-        Expr::Select(pred, e) => Expr::Select(pred.clone(), rec(e)),
-        Expr::HUnion(a, b) => Expr::HUnion(rec(a), rec(b)),
-        Expr::HDifference(a, b) => Expr::HDifference(rec(a), rec(b)),
-        Expr::HProduct(a, b) => Expr::HProduct(rec(a), rec(b)),
-        Expr::HProject(attrs, e) => Expr::HProject(attrs.clone(), rec(e)),
-        Expr::HSelect(pred, e) => Expr::HSelect(pred.clone(), rec(e)),
-        Expr::Delta(pred, texpr, e) => Expr::Delta(pred.clone(), texpr.clone(), rec(e)),
-        Expr::Join(spec, a, b) => Expr::Join(spec.clone(), rec(a), rec(b)),
-        Expr::HJoin(spec, a, b) => Expr::HJoin(spec.clone(), rec(a), rec(b)),
     }
 }
 
@@ -1042,24 +1016,6 @@ fn committer_loop(shared: &Arc<Shared>, mut wal_file: Option<std::fs::File>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pin_rewrites_current_leaves_only() {
-        let e = Expr::current("r")
-            .union(Expr::rollback("s", TxSpec::At(TransactionNumber(3))))
-            .select(txtime_snapshot::Predicate::True);
-        let pinned = pin_expr(&e, TransactionNumber(9));
-        match pinned {
-            Expr::Select(_, inner) => match *inner {
-                Expr::Union(a, b) => {
-                    assert_eq!(*a, Expr::rollback("r", TxSpec::At(TransactionNumber(9))));
-                    assert_eq!(*b, Expr::rollback("s", TxSpec::At(TransactionNumber(3))));
-                }
-                other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
-    }
 
     #[test]
     fn gate_sheds_when_saturated() {

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use txtime_exec::{ExecPool, OpKind};
+use txtime_exec::{concat, ExecPool, OpKind};
 
 use crate::predicate::{CompiledPredicate, Predicate};
 use crate::state::SnapshotState;
@@ -197,11 +197,7 @@ impl SnapshotState {
             }),
         };
         pool.note_join(other.len() as u64, self.len() as u64, chunks.len() as u64);
-        let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            out.extend(c);
-        }
-        Ok(SnapshotState::from_sorted_vec(schema, out))
+        Ok(SnapshotState::from_sorted_vec(schema, concat(chunks)))
     }
 }
 

@@ -15,20 +15,21 @@
 //! * × chunks the *left* operand: distinct same-arity left tuples
 //!   `l₁ < l₂` concatenate to `l₁·x < l₂·y` for every `x`, `y`, so the
 //!   per-chunk sub-products are again disjoint sorted runs.
-//! * ∪ and − (two-operand merges) split both runs at aligned pivots:
-//!   the left run is cut at even indices and the right run is cut at the
-//!   `partition_point` of each pivot tuple, so every part sees exactly
-//!   the tuples of one disjoint key interval and the concatenated merge
-//!   outputs are the sequential merge.
+//! * ∪ and − (two-operand merges) split both runs at aligned pivots
+//!   ([`txtime_exec::aligned_parts`]): the left run is cut at even
+//!   indices and the right run at the `partition_point` of each pivot
+//!   tuple, so every part sees exactly the tuples of one disjoint key
+//!   interval and the concatenated merge outputs are the sequential
+//!   merge.
 //! * π re-sorts the concatenated projection (unless the projection is an
 //!   order-preserving prefix), so the result does not depend on chunking.
 //!
 //! A one-thread pool evaluates every kernel inline on the calling thread
-//! (see [`ExecPool::map_chunks`]) — the exact sequential path.
+//! (see [`ExecPool::map_chunks`]) as a single chunk, which
+//! [`txtime_exec::concat`] hands back without a copy — the sequential
+//! kernel's cost, plus the per-operator counter.
 
-use std::ops::Range;
-
-use txtime_exec::{ExecPool, OpKind};
+use txtime_exec::{aligned_parts, concat, ExecPool, OpKind};
 
 use crate::ops::merge::{merge_difference, merge_union};
 use crate::ops::project::is_identity_prefix;
@@ -46,33 +47,6 @@ pub(crate) const SET_GRAIN: usize = OpKind::Select.min_chunk();
 /// cost scales with the right operand).
 pub(crate) const PRODUCT_PAIR_GRAIN: usize = OpKind::Product.min_chunk();
 
-/// Splits two sorted runs into at most `want` aligned part ranges: the
-/// left run is cut at (roughly) even indices, and the right run is cut at
-/// the `partition_point` of each left pivot, so part *i* of both runs
-/// covers the same disjoint key interval. O(want · log |right|).
-pub(crate) fn aligned_parts(
-    left: &[Tuple],
-    right: &[Tuple],
-    want: usize,
-) -> Vec<(Range<usize>, Range<usize>)> {
-    let want = want.max(1);
-    let mut cuts: Vec<(usize, usize)> = vec![(0, 0)];
-    for i in 1..want {
-        let l = (left.len() * i) / want;
-        let (prev_l, prev_r) = *cuts.last().expect("cuts is non-empty");
-        if l <= prev_l || l >= left.len() {
-            continue; // degenerate cut: fold into the neighbouring part
-        }
-        let pivot = &left[l];
-        let r = prev_r + right[prev_r..].partition_point(|t| t < pivot);
-        cuts.push((l, r));
-    }
-    cuts.push((left.len(), right.len()));
-    cuts.windows(2)
-        .map(|w| (w[0].0..w[1].0, w[0].1..w[1].1))
-        .collect()
-}
-
 impl SnapshotState {
     /// [`SnapshotState::select`] evaluated over partitioned slice ranges.
     pub fn select_par(&self, predicate: &Predicate, pool: &ExecPool) -> Result<SnapshotState> {
@@ -84,31 +58,27 @@ impl SnapshotState {
                 .cloned()
                 .collect::<Vec<Tuple>>()
         });
-        let total: usize = runs.iter().map(Vec::len).sum();
-        if total == self.len() {
+        if runs.iter().map(Vec::len).sum::<usize>() == self.len() {
             return Ok(self.clone());
         }
         // Disjoint ascending runs: in-order concatenation is sorted.
-        let mut out = Vec::with_capacity(total);
-        for run in runs {
-            out.extend(run);
-        }
-        Ok(SnapshotState::from_sorted_vec(self.schema().clone(), out))
+        Ok(SnapshotState::from_sorted_vec(
+            self.schema().clone(),
+            concat(runs),
+        ))
     }
 
     /// [`SnapshotState::project`] evaluated over partitioned slice ranges.
     pub fn project_par(&self, attrs: &[impl AsRef<str>], pool: &ExecPool) -> Result<SnapshotState> {
         let (schema, indices) = self.schema().project(attrs)?;
-        let runs = pool.map_chunks(OpKind::Project, self.run(), SET_GRAIN, |chunk| {
-            chunk
-                .iter()
-                .map(|t| t.project(&indices))
-                .collect::<Vec<Tuple>>()
-        });
-        let mut out = Vec::with_capacity(self.len());
-        for run in runs {
-            out.extend(run);
-        }
+        let mut out = concat(
+            pool.map_chunks(OpKind::Project, self.run(), SET_GRAIN, |chunk| {
+                chunk
+                    .iter()
+                    .map(|t| t.project(&indices))
+                    .collect::<Vec<Tuple>>()
+            }),
+        );
         if is_identity_prefix(&indices) {
             // In-order concatenation of an order-preserving projection is
             // already sorted; only adjacent duplicates can occur.
@@ -132,11 +102,7 @@ impl SnapshotState {
             }
             pairs
         });
-        let mut out = Vec::with_capacity(self.len() * other.len());
-        for run in runs {
-            out.extend(run);
-        }
-        Ok(SnapshotState::from_sorted_vec(schema, out))
+        Ok(SnapshotState::from_sorted_vec(schema, concat(runs)))
     }
 
     /// [`SnapshotState::union`] as a merge over aligned partitions of
@@ -147,16 +113,15 @@ impl SnapshotState {
             // Sequential identity shortcuts (O(1) Arc reuse).
             return self.union(other);
         }
-        let parts = aligned_parts(self.run(), other.run(), pool.threads());
+        let want = pool.chunks_for(self.len() + other.len(), SET_GRAIN);
+        let parts = aligned_parts(self.run(), other.run(), want, |t| t);
         let runs = pool.map_chunks(OpKind::Union, &parts, 1, |chunk| {
-            let mut out = Vec::new();
-            for (lr, rr) in chunk {
-                out.extend(merge_union(
-                    &self.run()[lr.clone()],
-                    &other.run()[rr.clone()],
-                ));
-            }
-            out
+            concat(
+                chunk
+                    .iter()
+                    .map(|(lr, rr)| merge_union(&self.run()[lr.clone()], &other.run()[rr.clone()]))
+                    .collect(),
+            )
         });
         let total: usize = runs.iter().map(Vec::len).sum();
         if total == self.len() {
@@ -169,11 +134,10 @@ impl SnapshotState {
                 other.shared_run().clone(),
             ));
         }
-        let mut out = Vec::with_capacity(total);
-        for run in runs {
-            out.extend(run);
-        }
-        Ok(SnapshotState::from_sorted_vec(self.schema().clone(), out))
+        Ok(SnapshotState::from_sorted_vec(
+            self.schema().clone(),
+            concat(runs),
+        ))
     }
 
     /// [`SnapshotState::difference`] as a merge over aligned partitions
@@ -183,27 +147,26 @@ impl SnapshotState {
         if self.is_empty() || other.is_empty() || self.shares_run(other) {
             return self.difference(other);
         }
-        let parts = aligned_parts(self.run(), other.run(), pool.threads());
+        let want = pool.chunks_for(self.len() + other.len(), SET_GRAIN);
+        let parts = aligned_parts(self.run(), other.run(), want, |t| t);
         let runs = pool.map_chunks(OpKind::Difference, &parts, 1, |chunk| {
-            let mut out = Vec::new();
-            for (lr, rr) in chunk {
-                out.extend(merge_difference(
-                    &self.run()[lr.clone()],
-                    &other.run()[rr.clone()],
-                ));
-            }
-            out
+            concat(
+                chunk
+                    .iter()
+                    .map(|(lr, rr)| {
+                        merge_difference(&self.run()[lr.clone()], &other.run()[rr.clone()])
+                    })
+                    .collect(),
+            )
         });
-        let total: usize = runs.iter().map(Vec::len).sum();
-        if total == self.len() {
+        if runs.iter().map(Vec::len).sum::<usize>() == self.len() {
             // Disjoint operands: nothing removed, share the left run.
             return Ok(self.clone());
         }
-        let mut out = Vec::with_capacity(total);
-        for run in runs {
-            out.extend(run);
-        }
-        Ok(SnapshotState::from_sorted_vec(self.schema().clone(), out))
+        Ok(SnapshotState::from_sorted_vec(
+            self.schema().clone(),
+            concat(runs),
+        ))
     }
 }
 
@@ -232,24 +195,6 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         random_state(&mut rng, &schema(prefix), &cfg)
-    }
-
-    #[test]
-    fn aligned_parts_cover_both_runs_in_order() {
-        let a = random(1, "a", 500);
-        let b = random(2, "a", 700);
-        for want in [1, 2, 3, 7] {
-            let parts = aligned_parts(a.run(), b.run(), want);
-            assert!(parts.len() <= want);
-            assert_eq!(parts.first().unwrap().0.start, 0);
-            assert_eq!(parts.first().unwrap().1.start, 0);
-            assert_eq!(parts.last().unwrap().0.end, a.len());
-            assert_eq!(parts.last().unwrap().1.end, b.len());
-            for w in parts.windows(2) {
-                assert_eq!(w[0].0.end, w[1].0.start);
-                assert_eq!(w[0].1.end, w[1].1.start);
-            }
-        }
     }
 
     /// Every kernel, at several thread counts, against its sequential

@@ -170,8 +170,8 @@ pub struct Engine {
     /// One materialization cache shared by every delta store.
     cache: Arc<MaterializationCache>,
     next_rel_id: u64,
-    /// The worker pool queries run on; one thread ⇒ the exact
-    /// sequential evaluator. Shared (`Arc`) with every sharded store,
+    /// The worker pool queries run on; one thread ⇒ every kernel runs
+    /// inline. Shared (`Arc`) with every sharded store,
     /// which fans per-shard resolution out on it.
     pool: Arc<ExecPool>,
     /// How many shards each *subsequently defined* history-keeping
@@ -407,18 +407,20 @@ impl Engine {
     /// reference semantics — the differential tests in [`crate::equiv`]
     /// check exactly this entry point.
     ///
-    /// With a multi-thread pool (see [`Engine::set_threads`]) the
-    /// rewritten expression runs on the pool-scheduled evaluator —
-    /// partitioned operator kernels plus concurrent binary subtrees —
-    /// which is result- and error-identical to the sequential one (the
-    /// parallel-determinism property tests pin this); one thread takes
-    /// the exact sequential path.
+    /// The rewritten expression runs on the one evaluator walk,
+    /// [`Expr::eval_with_pool`], on the engine's pool (see
+    /// [`Engine::set_threads`]) — the walk the reference semantics runs
+    /// on one thread. More threads add partitioned operator kernels and
+    /// concurrent binary subtrees, result- and error-identical at every
+    /// thread count (the parallel-determinism property tests pin this),
+    /// and the per-operator `exec` counters fill at every thread count.
     ///
     /// The view memo is consulted first: a repeatedly evaluated
     /// expression whose input relations have not moved is answered from
     /// its cached state (kept fresh by `modify_state` delta
     /// propagation); an expression crossing the registration threshold
-    /// is evaluated node-wise so every subexpression's state is cached.
+    /// is evaluated node-wise, through the same operator table and pool,
+    /// so every subexpression's state is cached.
     /// Both paths are observationally identical — value and error — to
     /// the plain evaluation below; the memo differential tests pin this
     /// on every backend.
@@ -445,15 +447,7 @@ impl Engine {
                 } else {
                     pushdown(expr)
                 };
-                // Join-bearing plans always take the pool path: with a
-                // one-thread pool the kernels run inline (identical to
-                // the sequential evaluator), and the pool's join
-                // counters record build/probe sides either way.
-                if self.pool.threads() > 1 || rewritten.contains_join() {
-                    rewritten.eval_with_pool(self, &self.pool)
-                } else {
-                    rewritten.eval_with(self)
-                }
+                rewritten.eval_with_pool(self, &self.pool)
             }
         }
     }
@@ -1276,6 +1270,10 @@ impl StampSource for Engine {
             Keeper::Single(slot) => slot.as_ref().map(|(_, tx)| (rel.rel_id, *tx)),
         }
     }
+
+    fn exec_pool(&self) -> &ExecPool {
+        &self.pool
+    }
 }
 
 impl StateSource for Engine {
@@ -1389,6 +1387,39 @@ mod tests {
                 .unwrap();
             assert_eq!(old, snap(&[1, 2]), "{backend}");
         }
+    }
+
+    #[test]
+    fn one_thread_eval_counts_operators_on_both_paths() {
+        // The plain walk and the memo's node-wise walk share the operator
+        // table and the engine's pool: a join-free plan fills the
+        // per-operator counters at one thread, the same on either path.
+        let q = Expr::current("r")
+            .union(Expr::rollback("r", TxSpec::At(TransactionNumber(3))))
+            .project(vec!["x".into()])
+            .difference(Expr::rollback("r", TxSpec::At(TransactionNumber(2))));
+        let run = |memo: bool| {
+            let mut e = engine_with_history(BackendKind::ForwardDelta);
+            e.set_threads(1);
+            e.set_optimize(0);
+            if memo {
+                e.set_memo_register_after(1);
+            } else {
+                e.set_memo_capacity(0);
+            }
+            e.reset_exec_stats();
+            let value = e.eval(&q).unwrap();
+            let stats = e.exec_stats();
+            let calls = |name: &str| stats.ops.iter().find(|o| o.name == name).unwrap().calls;
+            (
+                value,
+                [calls("union"), calls("project"), calls("difference")],
+            )
+        };
+        let plain = run(false);
+        assert_eq!(plain.0, StateValue::Snapshot(snap(&[2, 3])));
+        assert_eq!(plain.1, [1, 1, 1]);
+        assert_eq!(run(true), plain, "the memo path counts the same kernels");
     }
 
     #[test]

@@ -37,10 +37,13 @@
 //!   burst between reads therefore pays one propagation, not one per
 //!   write (the BENCH_5 `memo_modify` write-amplification fix).
 //!
-//! Node-wise evaluation applies the plain operators rather than the
-//! pushdown shapes the engine's un-memoized path uses; the two are
-//! observationally identical (value *and* error), which is exactly what
-//! the pushdown equivalence tests in [`crate::equiv`] and the memo
+//! Node-wise evaluation applies each operator through the same table as
+//! the engine's un-memoized walk ([`txtime_core::Operator`]), on the
+//! engine's pool ([`StampSource::exec_pool`]), so kernels, operand-kind
+//! checks and `exec.*` counters are shared. It differs only in skipping
+//! the pushdown shapes (σ/π filtered into rollback resolution); the two
+//! are observationally identical (value *and* error), which is exactly
+//! what the pushdown equivalence tests in [`crate::equiv`] and the memo
 //! differential tests pin. Nodes whose evaluation errors are never
 //! cached — the next lookup reproduces the error from scratch,
 //! identically.
@@ -62,7 +65,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Mutex, MutexGuard};
 
 use txtime_core::{EvalError, Expr, StateSource, StateValue, TransactionNumber, TxSpec};
-use txtime_exec::{MemoCounters, MemoStats};
+use txtime_exec::{ExecPool, MemoCounters, MemoStats};
 use txtime_historical::{Entry, HistoricalState, TemporalElement};
 use txtime_optimizer::{delta_beats_reeval, ExprId, ExprInterner, ExprNode, NodeOp};
 use txtime_snapshot::{SnapshotState, Tuple};
@@ -83,10 +86,18 @@ pub type RelStamp = (u64, TransactionNumber);
 
 /// What the memo needs from an engine beyond [`StateSource`]: the
 /// current stamp of each defined relation (`None` when undefined or
-/// still empty — nothing evaluable caches against such a relation).
+/// still empty — nothing evaluable caches against such a relation), and
+/// the pool its operator kernels run on.
 pub trait StampSource: StateSource {
     /// The stamp of `ident`, if it is defined and has a version.
     fn relation_stamp(&self, ident: &str) -> Option<RelStamp>;
+
+    /// The pool node-wise evaluation schedules operator kernels on, so
+    /// they are scheduled and counted as in the plain evaluation. One
+    /// thread unless the source has a pool of its own.
+    fn exec_pool(&self) -> &ExecPool {
+        ExecPool::sequential()
+    }
 }
 
 /// The registry's answer to "should this evaluation use the memo?".
@@ -224,8 +235,9 @@ impl Inner {
     }
 
     /// Evaluates node `id` bottom-up, reusing stamp-valid cached views
-    /// and caching every successfully evaluated node. Mirrors
-    /// [`Expr::eval_with`] exactly: children left-to-right, each checked
+    /// and caching every successfully evaluated node. Operators go
+    /// through the shared table ([`txtime_core::Operator::apply`]) as in
+    /// [`Expr::eval_with_pool`]: children left-to-right, each checked
     /// for the operator's expected state kind before the next evaluates,
     /// so the selected error is identical to the plain evaluator's.
     fn eval_node(
@@ -242,72 +254,20 @@ impl Inner {
             counters.add_invalidations(1);
         }
         let node = self.interner.node(id).clone();
-        let c = |i: usize| node.children[i];
         let state = match &node.op {
             NodeOp::Const(Expr::SnapshotConst(s)) => StateValue::Snapshot(s.clone()),
             NodeOp::Const(Expr::HistoricalConst(h)) => StateValue::Historical(h.clone()),
             NodeOp::Const(_) => unreachable!("interner wraps only constant expressions in Const"),
             NodeOp::Rollback(ident, spec) => src.resolve_rollback(ident, *spec, false)?,
             NodeOp::HRollback(ident, spec) => src.resolve_rollback(ident, *spec, true)?,
-            NodeOp::Union => {
-                let l = self.eval_snap(c(0), src, counters, "union")?;
-                let r = self.eval_snap(c(1), src, counters, "union")?;
-                StateValue::Snapshot(l.union(&r)?)
-            }
-            NodeOp::Difference => {
-                let l = self.eval_snap(c(0), src, counters, "minus")?;
-                let r = self.eval_snap(c(1), src, counters, "minus")?;
-                StateValue::Snapshot(l.difference(&r)?)
-            }
-            NodeOp::Product => {
-                let l = self.eval_snap(c(0), src, counters, "times")?;
-                let r = self.eval_snap(c(1), src, counters, "times")?;
-                StateValue::Snapshot(l.product(&r)?)
-            }
-            NodeOp::Project(attrs) => {
-                let s = self.eval_snap(c(0), src, counters, "project")?;
-                StateValue::Snapshot(s.project(attrs)?)
-            }
-            NodeOp::Select(p) => {
-                let s = self.eval_snap(c(0), src, counters, "select")?;
-                StateValue::Snapshot(s.select(p)?)
-            }
-            NodeOp::HUnion => {
-                let l = self.eval_hist(c(0), src, counters, "hunion")?;
-                let r = self.eval_hist(c(1), src, counters, "hunion")?;
-                StateValue::Historical(l.hunion(&r)?)
-            }
-            NodeOp::HDifference => {
-                let l = self.eval_hist(c(0), src, counters, "hminus")?;
-                let r = self.eval_hist(c(1), src, counters, "hminus")?;
-                StateValue::Historical(l.hdifference(&r)?)
-            }
-            NodeOp::HProduct => {
-                let l = self.eval_hist(c(0), src, counters, "htimes")?;
-                let r = self.eval_hist(c(1), src, counters, "htimes")?;
-                StateValue::Historical(l.hproduct(&r)?)
-            }
-            NodeOp::HProject(attrs) => {
-                let h = self.eval_hist(c(0), src, counters, "hproject")?;
-                StateValue::Historical(h.hproject(attrs)?)
-            }
-            NodeOp::HSelect(p) => {
-                let h = self.eval_hist(c(0), src, counters, "hselect")?;
-                StateValue::Historical(h.hselect(p)?)
-            }
-            NodeOp::Delta(g, v) => {
-                let h = self.eval_hist(c(0), src, counters, "delta")?;
-                StateValue::Historical(h.delta(g, v)?)
-            }
-            NodeOp::Join(spec) => {
-                let l = self.eval_snap(c(0), src, counters, "join")?;
-                let r = self.eval_snap(c(1), src, counters, "join")?;
-                StateValue::Snapshot(l.equi_join(&r, spec)?)
-            }
-            NodeOp::HJoin(spec) => {
-                let l = self.eval_hist(c(0), src, counters, "hjoin")?;
-                let r = self.eval_hist(c(1), src, counters, "hjoin")?;
-                StateValue::Historical(l.hequi_join(&r, spec)?)
+            op => {
+                let op = op.operator().expect("every other node is an operator");
+                let left = op.operand(self.eval_node(node.children[0], src, counters))?;
+                let right = match node.children.get(1) {
+                    Some(&c) => Some(op.operand(self.eval_node(c, src, counters))?),
+                    None => None,
+                };
+                op.apply(left, right, src.exec_pool())?
             }
         };
         let mut stamps: Vec<(String, RelStamp)> = Vec::new();
@@ -339,36 +299,6 @@ impl Inner {
         Ok(state)
     }
 
-    fn eval_snap(
-        &mut self,
-        id: ExprId,
-        src: &dyn StampSource,
-        counters: &MemoCounters,
-        operator: &'static str,
-    ) -> Result<SnapshotState, EvalError> {
-        self.eval_node(id, src, counters)?
-            .into_snapshot()
-            .ok_or(EvalError::StateKindMismatch {
-                operator,
-                expected_historical: false,
-            })
-    }
-
-    fn eval_hist(
-        &mut self,
-        id: ExprId,
-        src: &dyn StampSource,
-        counters: &MemoCounters,
-        operator: &'static str,
-    ) -> Result<HistoricalState, EvalError> {
-        self.eval_node(id, src, counters)?
-            .into_historical()
-            .ok_or(EvalError::StateKindMismatch {
-                operator,
-                expected_historical: true,
-            })
-    }
-
     /// Settles every queued modify span: one folded delta propagation
     /// per touched relation. Called at the top of each memo read.
     fn flush_pending(&mut self, src: &dyn StampSource, counters: &MemoCounters) {
@@ -393,8 +323,7 @@ impl Inner {
     /// A span of `modify_state`s against relation `ident`, already
     /// applied to the store and folded into one delta: update every
     /// cached view that reads it. `span_start` is the commit transaction
-    /// of the span's first modify, `new_tx` of its last (the eager
-    /// single-modify path passes them equal).
+    /// of the span's first modify, `new_tx` of its last.
     #[allow(clippy::too_many_arguments)]
     fn propagate(
         &mut self,
@@ -1155,22 +1084,6 @@ impl ViewRegistry {
         );
     }
 
-    /// Propagates the delta one `modify_state` applied to `ident`
-    /// (already in the store, committed at `new_tx`) through every
-    /// cached view that reads it — the eager path
-    /// ([`ViewRegistry::queue_modify`] is the engine's deferred one).
-    pub fn apply_modify(
-        &self,
-        ident: &str,
-        rel_id: u64,
-        delta: &StateDelta,
-        new_tx: TransactionNumber,
-        src: &dyn StampSource,
-    ) {
-        let mut inner = self.lock();
-        inner.propagate(ident, rel_id, delta, new_tx, new_tx, src, &self.counters);
-    }
-
     /// Folds and propagates every queued `modify_state` span now — the
     /// shutdown path. The lazy write path queues spans to be settled on
     /// the next read; an engine going away with spans still queued must
@@ -1330,21 +1243,22 @@ mod tests {
         };
         assert_eq!(hit, v);
 
-        // One tuple added, one removed; the view follows without a
-        // re-evaluation.
-        db.set("r", 7, 4, StateValue::Snapshot(snap(&[-1, 2, 5])));
-        let delta = StateDelta::Snapshot {
-            added: vec![Tuple::new(vec![Value::Int(5)])],
-            removed: vec![Tuple::new(vec![Value::Int(1)])],
-        };
-        memo.apply_modify("r", 7, &delta, TransactionNumber(4), &db);
+        // One tuple added, one removed: the write queues, and the next
+        // read folds it into the views without a re-evaluation.
+        let before = StateValue::Snapshot(snap(&[-1, 1, 2]));
+        let after = StateValue::Snapshot(snap(&[-1, 2, 5]));
+        db.set("r", 7, 4, after.clone());
+        memo.queue_modify("r", 7, Some(&before), &after, TransactionNumber(4));
+        assert_eq!(memo.pending_spans(), 1);
         let MemoDecision::Hit(hit) = memo.decide(&expr, &db) else {
             panic!("expected a post-propagation hit");
         };
         assert_eq!(hit, StateValue::Snapshot(snap(&[2, 5])));
+        assert_eq!(memo.pending_spans(), 0);
         let stats = memo.stats();
         assert_eq!(stats.hits, 2);
         assert!(stats.propagations >= 2, "leaf and select both propagate");
+        assert_eq!(stats.fallbacks, 0, "the select's delta rule applied");
     }
 
     #[test]
@@ -1375,12 +1289,24 @@ mod tests {
         }
         assert_eq!(memo.stats().views, 4);
 
-        // A reschema delta invalidates r's readers, leaves s's alone.
-        let re = StateDelta::Reschema(Box::new(StateValue::Snapshot(snap(&[9]))));
-        memo.apply_modify("r", 1, &re, TransactionNumber(3), &db);
+        // A scheme change has no delta rule: queueing it drops r's
+        // readers on the spot and leaves s's alone.
+        let before = StateValue::Snapshot(snap(&[1]));
+        let y = Schema::new(vec![("y", DomainType::Int)]).unwrap();
+        let after =
+            StateValue::Snapshot(SnapshotState::from_rows(y, [vec![Value::Int(9)]]).unwrap());
+        db.set("r", 1, 3, after.clone());
+        memo.queue_modify("r", 1, Some(&before), &after, TransactionNumber(3));
+        assert_eq!(memo.pending_spans(), 0);
         assert_eq!(memo.stats().views, 2);
         assert!(!memo.has_readers("r"));
         assert!(memo.has_readers("s"));
+        // The next reads: s's view still serves, r's query evaluates anew.
+        assert!(matches!(memo.decide(&on_s, &db), MemoDecision::Hit(_)));
+        assert!(matches!(
+            memo.decide(&on_r, &db),
+            MemoDecision::Evaluate { .. }
+        ));
 
         memo.purge_relation("s");
         assert_eq!(memo.stats().views, 0);

@@ -11,10 +11,12 @@ use txtime_snapshot::rng::rngs::StdRng;
 use txtime_snapshot::rng::{Rng, SeedableRng};
 
 use txtime_core::generate::{random_commands, CmdGenConfig};
-use txtime_core::{Command, Expr, RelationType, SchemeChange, TransactionNumber, TxSpec};
+use txtime_core::{
+    Command, EvalError, Expr, RelationType, SchemeChange, TransactionNumber, TxSpec,
+};
 use txtime_historical::generate::{random_historical_state, HistGenConfig};
 use txtime_snapshot::generate::{random_predicate, GenConfig};
-use txtime_snapshot::{DomainType, Schema, Value};
+use txtime_snapshot::{DomainType, Predicate, Schema, Value};
 use txtime_storage::{BackendKind, CheckpointPolicy, Engine};
 
 /// 1 is the sequential oracle; 2 exercises the partitioned kernels that
@@ -108,8 +110,66 @@ fn drive(
         for q in queries {
             assert_agree(&memo, &plain, q, backend, threads);
         }
+        for historical_workload in [false, true] {
+            for (q, operator, historical) in error_order_queries(historical_workload) {
+                assert_left_error_wins(&memo, &q, operator, historical);
+                assert_left_error_wins(&plain, &q, operator, historical);
+            }
+        }
     }
     (memo, plain)
+}
+
+/// Queries whose left (or only) operand has the wrong state kind while
+/// the right operand fails on its own, each with the operator whose
+/// kind check must fire and the kind it expects: the left operand's
+/// error must win over the right's.
+fn error_order_queries(historical_workload: bool) -> Vec<(Expr, &'static str, bool)> {
+    if historical_workload {
+        vec![
+            (
+                Expr::hcurrent("t0").union(Expr::current("ghost")),
+                "union",
+                false,
+            ),
+            (
+                Expr::hcurrent("t0").select(Predicate::True),
+                "select",
+                false,
+            ),
+        ]
+    } else {
+        vec![
+            (
+                Expr::current("r0").hunion(Expr::hcurrent("ghost")),
+                "hunion",
+                true,
+            ),
+            (
+                Expr::current("r0").hselect(Predicate::True),
+                "hselect",
+                true,
+            ),
+        ]
+    }
+}
+
+/// `q` fails with its left operand's error: the operand's own error if
+/// it has one, else the operator's kind mismatch.
+fn assert_left_error_wins(e: &Engine, q: &Expr, operator: &'static str, historical: bool) {
+    let left = q.operands()[0];
+    let want = match e.eval(left) {
+        Err(err) => err,
+        Ok(_) => EvalError::StateKindMismatch {
+            operator,
+            expected_historical: historical,
+        },
+    };
+    assert_eq!(
+        format!("{:?}", e.eval(q)),
+        format!("{:?}", Err::<(), _>(want)),
+        "{q}: the left operand's error must win"
+    );
 }
 
 /// Snapshot-algebra queries, the same shape pool as the other
@@ -184,6 +244,7 @@ proptest! {
             Expr::current("ghost"),
             Expr::hcurrent("r0"),
         ];
+        queries.extend(error_order_queries(false).into_iter().map(|(q, ..)| q));
         for _ in 0..3 {
             let depth = qrng.gen_range(1..4);
             queries.push(random_query(&mut qrng, depth));
@@ -237,6 +298,7 @@ proptest! {
             Expr::hcurrent("t0").hdifference(Expr::hcurrent("h0")),
             Expr::current("t0"), // ρ of a temporal relation: always an error
         ];
+        queries.extend(error_order_queries(true).into_iter().map(|(q, ..)| q));
         for _ in 0..3 {
             let depth = qrng.gen_range(1..4);
             queries.push(random_hquery(&mut qrng, depth));
@@ -290,6 +352,69 @@ proptest! {
         for backend in BackendKind::ALL {
             for threads in THREADS {
                 drive(&cmds, &queries, backend, threads);
+            }
+        }
+    }
+}
+
+/// The error-order queries on a fixed database where every left operand
+/// evaluates (so the kind mismatch itself must win over the right
+/// operand's undefined relation), memo on and off, at 1, 2 and 8
+/// threads; each query runs twice so the memo engine's second pass
+/// takes its registered, node-wise path.
+#[test]
+fn left_kind_mismatch_wins_over_right_error() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let hcfg = HistGenConfig {
+        values: GenConfig {
+            arity: 2,
+            cardinality: 8,
+            int_range: 10,
+            str_pool: 4,
+        },
+        horizon: 40,
+        max_periods: 2,
+    };
+    let cmds = vec![
+        Command::define_relation("r0", RelationType::Rollback),
+        Command::modify_state(
+            "r0",
+            Expr::snapshot_const(txtime_snapshot::generate::random_state(
+                &mut rng,
+                &schema(),
+                &hcfg.values,
+            )),
+        ),
+        Command::define_relation("t0", RelationType::Temporal),
+        Command::modify_state(
+            "t0",
+            Expr::historical_const(random_historical_state(&mut rng, &schema(), &hcfg)),
+        ),
+    ];
+    for backend in BackendKind::ALL {
+        for threads in [1, 2, 8] {
+            for mut engine in [
+                memo_engine(backend, threads),
+                plain_engine(backend, threads),
+            ] {
+                for c in &cmds {
+                    engine.execute(c).unwrap();
+                }
+                for historical_workload in [false, true] {
+                    for (q, operator, historical) in error_order_queries(historical_workload) {
+                        for _ in 0..2 {
+                            let got = engine.eval(&q);
+                            assert!(
+                                matches!(
+                                    &got,
+                                    Err(EvalError::StateKindMismatch { operator: o, expected_historical: h })
+                                        if *o == operator && *h == historical
+                                ),
+                                "{backend}, {threads} threads: {q} gave {got:?}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -9,10 +9,10 @@ use txtime_snapshot::rng::rngs::StdRng;
 use txtime_snapshot::rng::{Rng, SeedableRng};
 
 use txtime_core::generate::{random_commands, CmdGenConfig};
-use txtime_core::{Command, Expr, RelationType, TransactionNumber, TxSpec};
+use txtime_core::{Command, EvalError, Expr, RelationType, TransactionNumber, TxSpec};
 use txtime_historical::generate::{random_historical_state, HistGenConfig};
 use txtime_snapshot::generate::{random_predicate, GenConfig};
-use txtime_snapshot::{DomainType, Schema};
+use txtime_snapshot::{DomainType, Predicate, Schema};
 use txtime_storage::{BackendKind, CheckpointPolicy, Engine};
 
 /// The thread budgets compared against each other. 1 is the sequential
@@ -74,6 +74,68 @@ fn assert_all_agree(engines: &[Engine], q: &Expr, backend: BackendKind) {
                 panic!("{backend}, {threads} threads: {q}: sequential {want:?} != parallel {got:?}")
             }
         }
+    }
+}
+
+/// The fixed error-order pool: queries whose left (or only) operand has
+/// the wrong state kind while the right operand fails on its own, each
+/// with the operator whose kind check must fire and the kind it
+/// expects. However the subtrees are scheduled, the left operand's
+/// error must win over the right's.
+fn error_order_queries(historical_workload: bool) -> Vec<(Expr, &'static str, bool)> {
+    if historical_workload {
+        vec![
+            (
+                Expr::hcurrent("t0").union(Expr::current("ghost")),
+                "union",
+                false,
+            ),
+            (
+                Expr::hcurrent("t0").select(Predicate::True),
+                "select",
+                false,
+            ),
+        ]
+    } else {
+        vec![
+            (
+                Expr::current("r0").hunion(Expr::hcurrent("ghost")),
+                "hunion",
+                true,
+            ),
+            (
+                Expr::current("r0").hselect(Predicate::True),
+                "hselect",
+                true,
+            ),
+        ]
+    }
+}
+
+/// Each engine answers the error-order pool with the left operand's
+/// error (its own if it has one, else the kind mismatch), and all agree.
+/// The first evaluation takes the plain walk; the second, past the
+/// memo's registration threshold, the memo's node-wise walk.
+fn assert_left_errors_win(engines: &[Engine], backend: BackendKind, historical_workload: bool) {
+    for (q, operator, historical) in error_order_queries(historical_workload) {
+        for (e, &threads) in engines.iter().zip(&THREADS) {
+            let want = match e.eval(q.operands()[0]) {
+                Err(err) => err,
+                Ok(_) => EvalError::StateKindMismatch {
+                    operator,
+                    expected_historical: historical,
+                },
+            };
+            let want = format!("{:?}", Err::<(), _>(want));
+            for pass in 0..2 {
+                assert_eq!(
+                    format!("{:?}", e.eval(&q)),
+                    want,
+                    "{backend}, {threads} threads, pass {pass}: {q}: the left operand's error must win"
+                );
+            }
+        }
+        assert_all_agree(engines, &q, backend);
     }
 }
 
@@ -147,6 +209,7 @@ proptest! {
                 let q = random_query(&mut qrng, depth);
                 assert_all_agree(&engines, &q, backend);
             }
+            assert_left_errors_win(&engines, backend, false);
         }
     }
 
@@ -198,6 +261,7 @@ proptest! {
             );
             let q = Expr::hcurrent("t0").hproduct(Expr::historical_const(small));
             assert_all_agree(&engines, &q, backend);
+            assert_left_errors_win(&engines, backend, true);
         }
     }
 
